@@ -8,26 +8,28 @@
 //! * **Rescaling baseline** — the Section VII alternative to log-space,
 //!   compared head-to-head with log and posit forward passes.
 
+use super::op_sweep::{op_accuracy, OpFormat};
 use crate::Scale;
 use compstat_bigfloat::Context;
-use compstat_core::accuracy::{bucketed_accuracy, ExponentBucket, OpKind};
+use compstat_core::accuracy::{ExponentBucket, OpKind};
 use compstat_core::error::measure;
 use compstat_core::report::Report;
 use compstat_core::report::{fmt_f64, Table};
 use compstat_core::sample::{sample_additions, sample_multiplications};
-use compstat_core::{Cdf, StatFloat};
+use compstat_core::Cdf;
 use compstat_hmm::{
     dirichlet_hmm, forward, forward_log, forward_oracle, forward_scaled, uniform_observations,
 };
 use compstat_logspace::LogF64;
 use compstat_posit::{P64E12, P64E15, P64E18, P64E21, P64E6, P64E9};
+use compstat_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// ES sweep: median multiply error for every posit(64, ES) in three
 /// representative magnitude bands.
 #[must_use]
-pub fn ablation_es_sweep(scale: Scale) -> String {
+pub fn ablation_es_sweep(scale: Scale, rt: &Runtime) -> String {
     let n = scale.pick(600, 6_000, 60_000);
     let ctx = Context::new(256);
     let mut rng = StdRng::seed_from_u64(0xE5);
@@ -43,38 +45,28 @@ pub fn ablation_es_sweep(scale: Scale) -> String {
             hi: -6_000,
         },
     ];
+    let formats = [
+        OpFormat::of::<P64E6>(),
+        OpFormat::of::<P64E9>(),
+        OpFormat::of::<P64E12>(),
+        OpFormat::of::<P64E15>(),
+        OpFormat::of::<P64E18>(),
+        OpFormat::of::<P64E21>(),
+    ];
     let mut t = Table::new(vec![
         "format".into(),
         "median [-100,0]".into(),
         "median [-2000,-1022)".into(),
         "median [-10000,-6000)".into(),
     ]);
-    macro_rules! row {
-        ($ty:ty) => {{
-            let acc = bucketed_accuracy::<$ty>(OpKind::Mul, &corpus, &buckets, -18.5, &ctx);
-            t.row(vec![
-                <$ty as StatFloat>::NAME.into(),
-                acc[0]
-                    .stats
-                    .as_ref()
-                    .map_or("-".into(), |s| fmt_f64(s.p50, 2)),
-                acc[1]
-                    .stats
-                    .as_ref()
-                    .map_or("-".into(), |s| fmt_f64(s.p50, 2)),
-                acc[2]
-                    .stats
-                    .as_ref()
-                    .map_or("-".into(), |s| fmt_f64(s.p50, 2)),
-            ]);
-        }};
+    for (name, acc) in op_accuracy(&formats, OpKind::Mul, &corpus, &buckets, -18.5, &ctx, rt) {
+        let mut row = vec![name.to_string()];
+        row.extend(
+            acc.iter()
+                .map(|a| a.stats.as_ref().map_or("-".into(), |s| fmt_f64(s.p50, 2))),
+        );
+        t.row(row);
     }
-    row!(P64E6);
-    row!(P64E9);
-    row!(P64E12);
-    row!(P64E15);
-    row!(P64E18);
-    row!(P64E21);
     format!(
         "posit ES ladder, multiply accuracy by result magnitude\n\
          (smaller ES = more precision near 1.0; larger ES = more range; \
@@ -84,24 +76,27 @@ pub fn ablation_es_sweep(scale: Scale) -> String {
 }
 
 /// LSE variants: hardware Equation-(2) dataflow vs software `log1p` LSE.
+/// The corpus is drawn serially; the per-op measurements run through
+/// `rt`.
 #[must_use]
-pub fn ablation_lse_variants(scale: Scale) -> String {
+pub fn ablation_lse_variants(scale: Scale, rt: &Runtime) -> String {
     let n = scale.pick(800, 8_000, 80_000);
     let ctx = Context::new(256);
     let mut rng = StdRng::seed_from_u64(0x15E);
     let corpus = sample_additions(&mut rng, n, -6_000, 0, 60, &ctx);
-    let mut sw = Vec::new();
-    let mut hw = Vec::new();
-    for s in &corpus {
-        let a = LogF64::from_bigfloat(&s.a, &ctx);
-        let b = LogF64::from_bigfloat(&s.b, &ctx);
-        sw.push(measure(&s.exact, &(a + b), &ctx).log10_rel.max(-18.5));
-        hw.push(
-            measure(&s.exact, &a.add_hw_dataflow(b), &ctx)
-                .log10_rel
-                .max(-18.5),
-        );
-    }
+    let (sw, hw): (Vec<f64>, Vec<f64>) = rt
+        .par_map(&corpus, |s| {
+            let a = LogF64::from_bigfloat(&s.a, &ctx);
+            let b = LogF64::from_bigfloat(&s.b, &ctx);
+            (
+                measure(&s.exact, &(a + b), &ctx).log10_rel.max(-18.5),
+                measure(&s.exact, &a.add_hw_dataflow(b), &ctx)
+                    .log10_rel
+                    .max(-18.5),
+            )
+        })
+        .into_iter()
+        .unzip();
     let (sw, hw) = (Cdf::new(&sw), Cdf::new(&hw));
     format!(
         "binary LSE implementations over {n} additions:\n\
@@ -117,29 +112,36 @@ pub fn ablation_lse_variants(scale: Scale) -> String {
 }
 
 /// Rescaling-forward baseline vs log-space vs posit on a long-sequence
-/// forward pass.
+/// forward pass. Models and observations are drawn serially from one
+/// seeded stream; the per-model forward passes run through `rt`.
 #[must_use]
-pub fn ablation_scaled_forward(scale: Scale) -> String {
+pub fn ablation_scaled_forward(scale: Scale, rt: &Runtime) -> String {
     let t_len = scale.pick(2_000, 12_000, 100_000);
     let models = scale.pick(3, 6, 24);
     let ctx = Context::new(256);
     let mut rng = StdRng::seed_from_u64(0x5CA1ED);
-    let mut log_e = Vec::new();
-    let mut posit_e = Vec::new();
-    let mut scaled_e = Vec::new();
-    for _ in 0..models {
-        let model = dirichlet_hmm(&mut rng, 6, 12, 0.8);
-        let obs = uniform_observations(&mut rng, 12, t_len);
-        let oracle = forward_oracle(&model, &obs, &ctx);
-        let l = forward_log(&model, &obs);
-        log_e.push(measure(&oracle, &l, &ctx).log10_rel);
-        let p: P64E18 = forward(&model.prepare(), &obs);
-        posit_e.push(measure(&oracle, &p, &ctx).log10_rel);
+    let inputs: Vec<_> = (0..models)
+        .map(|_| {
+            let model = dirichlet_hmm(&mut rng, 6, 12, 0.8);
+            let obs = uniform_observations(&mut rng, 12, t_len);
+            (model, obs)
+        })
+        .collect();
+    let errors = rt.par_map(&inputs, |(model, obs)| {
+        let oracle = forward_oracle(model, obs, &ctx);
+        let l = forward_log(model, obs);
+        let p: P64E18 = forward(&model.prepare(), obs);
         // Rescaling returns ln L in f64; measure the implied likelihood.
-        let s = forward_scaled(&model, &obs);
+        let s = forward_scaled(model, obs);
         let implied = ctx.exp(&compstat_bigfloat::BigFloat::from_f64(s.ln_likelihood));
-        scaled_e.push(compstat_core::relative_error(&oracle, &implied, &ctx).log10_rel);
-    }
+        [
+            measure(&oracle, &l, &ctx).log10_rel,
+            compstat_core::relative_error(&oracle, &implied, &ctx).log10_rel,
+            measure(&oracle, &p, &ctx).log10_rel,
+        ]
+    });
+    let column = |k: usize| errors.iter().map(|e| e[k]).collect::<Vec<f64>>();
+    let (log_e, scaled_e, posit_e) = (column(0), column(1), column(2));
     let med = |v: &[f64]| Cdf::new(v).quantile(0.5);
     format!(
         "forward algorithm, T={t_len}, {models} models — median log10 rel error:\n\
@@ -171,25 +173,25 @@ pub const TITLE_SCALED: &str = "Ablation: rescaling vs log vs posit forward";
 
 /// [`ablation_es_sweep`] as a structured report.
 #[must_use]
-pub fn es_report(scale: Scale) -> Report {
+pub fn es_report(scale: Scale, rt: &Runtime) -> Report {
     let mut r = Report::new(NAME_ES, TITLE_ES, scale);
-    r.text(ablation_es_sweep(scale));
+    r.text(ablation_es_sweep(scale, rt));
     r
 }
 
 /// [`ablation_lse_variants`] as a structured report.
 #[must_use]
-pub fn lse_report(scale: Scale) -> Report {
+pub fn lse_report(scale: Scale, rt: &Runtime) -> Report {
     let mut r = Report::new(NAME_LSE, TITLE_LSE, scale);
-    r.text(ablation_lse_variants(scale));
+    r.text(ablation_lse_variants(scale, rt));
     r
 }
 
 /// [`ablation_scaled_forward`] as a structured report.
 #[must_use]
-pub fn scaled_report(scale: Scale) -> Report {
+pub fn scaled_report(scale: Scale, rt: &Runtime) -> Report {
     let mut r = Report::new(NAME_SCALED, TITLE_SCALED, scale);
-    r.text(ablation_scaled_forward(scale));
+    r.text(ablation_scaled_forward(scale, rt));
     r
 }
 
@@ -199,20 +201,20 @@ mod tests {
 
     #[test]
     fn es_sweep_shows_the_range_precision_trade() {
-        let r = ablation_es_sweep(Scale::Quick);
+        let r = ablation_es_sweep(Scale::Quick, &Runtime::from_env());
         assert!(r.contains("posit(64,6)"));
         assert!(r.contains("posit(64,21)"));
     }
 
     #[test]
     fn lse_variants_are_close() {
-        let r = ablation_lse_variants(Scale::Quick);
+        let r = ablation_lse_variants(Scale::Quick, &Runtime::from_env());
         assert!(r.contains("software log1p"));
     }
 
     #[test]
     fn scaled_forward_report_orders_formats() {
-        let r = ablation_scaled_forward(Scale::Quick);
+        let r = ablation_scaled_forward(Scale::Quick, &Runtime::from_env());
         assert!(r.contains("rescaling"));
         // Parse the three medians and check posit wins.
         let grab = |tag: &str| -> f64 {

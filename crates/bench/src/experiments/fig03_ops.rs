@@ -1,10 +1,11 @@
 //! Figure 3: relative error of individual add/multiply operations across
 //! result-magnitude buckets, per format (box statistics).
 
+use super::op_sweep::{op_accuracy, render_panel, OpFormat};
 use crate::Scale;
 use compstat_bigfloat::Context;
-use compstat_core::accuracy::{bucketed_accuracy, figure3_buckets, BucketAccuracy, OpKind};
-use compstat_core::report::{fmt_f64, Report, Table};
+use compstat_core::accuracy::{figure3_buckets, OpKind};
+use compstat_core::report::Report;
 use compstat_core::sample::{sample_additions, sample_multiplications, SampledOp};
 use compstat_logspace::LogF64;
 use compstat_posit::{P64E12, P64E18, P64E9};
@@ -14,49 +15,15 @@ use rand::SeedableRng;
 
 const FLOOR_LOG10: f64 = -18.5;
 
-/// The Figure 3 format set, as dispatchable tags: each format's bucket
-/// sweep (oracle-measured error per sampled op) is an independent work
-/// item for the runtime.
-#[derive(Clone, Copy)]
-enum Fmt {
-    B64,
-    Log,
-    P9,
-    P12,
-    P18,
-}
-
-const FMTS: [Fmt; 5] = [Fmt::B64, Fmt::Log, Fmt::P9, Fmt::P12, Fmt::P18];
-
-fn run_format(
-    fmt: Fmt,
-    op: OpKind,
-    corpus: &[SampledOp],
-    ctx: &Context,
-) -> (&'static str, Vec<BucketAccuracy>) {
-    let buckets = figure3_buckets();
-    match fmt {
-        Fmt::B64 => (
-            "binary64",
-            bucketed_accuracy::<f64>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::Log => (
-            "Log",
-            bucketed_accuracy::<LogF64>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::P9 => (
-            "posit(64,9)",
-            bucketed_accuracy::<P64E9>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::P12 => (
-            "posit(64,12)",
-            bucketed_accuracy::<P64E12>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::P18 => (
-            "posit(64,18)",
-            bucketed_accuracy::<P64E18>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-    }
+/// The Figure 3 format set.
+fn formats() -> [OpFormat; 5] {
+    [
+        OpFormat::of::<f64>(),
+        OpFormat::of::<LogF64>(),
+        OpFormat::of::<P64E9>(),
+        OpFormat::of::<P64E12>(),
+        OpFormat::of::<P64E18>(),
+    ]
 }
 
 /// Registry name of this experiment.
@@ -65,9 +32,9 @@ pub const NAME: &str = "fig03";
 pub const TITLE: &str = "Figure 3: relative error of individual operations by magnitude bucket";
 
 /// Runs the full Figure 3 experiment (both panels) and builds box
-/// statistics per bucket per format. The per-format sweeps (the
-/// oracle-measured error of every sampled op) run through `rt`;
-/// reports are bitwise-identical for every thread count.
+/// statistics per bucket per format. Every `(format, op)` measurement
+/// runs through `rt`; reports are bitwise-identical for every thread
+/// count.
 #[must_use]
 pub fn report(scale: Scale, rt: &Runtime) -> Report {
     // Paper: 1,000,000 adds and 550,000 multiplies.
@@ -105,68 +72,8 @@ fn panel(
     rt: &Runtime,
 ) {
     let buckets = figure3_buckets();
-    let results: Vec<(&str, Vec<BucketAccuracy>)> =
-        rt.par_map(&FMTS, |fmt| run_format(*fmt, op, corpus, ctx));
-
-    let mut t = Table::new(vec![
-        "bucket (result exp)".into(),
-        "format".into(),
-        "p5".into(),
-        "p25".into(),
-        "median".into(),
-        "p75".into(),
-        "p95".into(),
-        "n".into(),
-        "underflow".into(),
-    ]);
-    for (bi, bucket) in buckets.iter().enumerate() {
-        for (name, acc) in &results {
-            let a = &acc[bi];
-            // The paper omits binary64 outside its range (all underflow).
-            if *name == "binary64" && a.total > 0 && a.underflows == a.total {
-                t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    "(underflows)".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]);
-                continue;
-            }
-            match &a.stats {
-                Some(s) => t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    fmt_f64(s.p5, 2),
-                    fmt_f64(s.p25, 2),
-                    fmt_f64(s.p50, 2),
-                    fmt_f64(s.p75, 2),
-                    fmt_f64(s.p95, 2),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]),
-                None => t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    "-".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]),
-            }
-        }
-    }
-    r.text(format!(
-        "{title} — log10(relative error), five-number summaries\n"
-    ));
-    r.table(t);
+    let results = op_accuracy(&formats(), op, corpus, &buckets, FLOOR_LOG10, ctx, rt);
+    render_panel(r, title, &buckets, &results);
 }
 
 /// Extracts median log10 errors per (format, bucket) for assertions.
@@ -183,14 +90,17 @@ pub fn figure3_medians(
         OpKind::Add => sample_additions(&mut rng, n, -10_050, 0, 60, &ctx),
         OpKind::Mul => sample_multiplications(&mut rng, n, -10_050, 0, &ctx),
     };
-    rt.par_map(&FMTS, |fmt| {
-        let (name, acc) = run_format(*fmt, op, &corpus, &ctx);
-        let medians = acc
-            .iter()
-            .map(|a| a.stats.as_ref().map(|s| s.p50))
-            .collect();
-        (name, medians)
-    })
+    let buckets = figure3_buckets();
+    op_accuracy(&formats(), op, &corpus, &buckets, FLOOR_LOG10, &ctx, rt)
+        .into_iter()
+        .map(|(name, acc)| {
+            let medians = acc
+                .iter()
+                .map(|a| a.stats.as_ref().map(|s| s.p50))
+                .collect();
+            (name, medians)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -62,29 +62,41 @@ pub fn evaluate_corpus_cached(
 }
 
 /// The per-format measurement stage shared by the cached and uncached
-/// corpus evaluations.
+/// corpus evaluations. Costs differ by orders of magnitude across
+/// columns (read depth) and across formats (software posits dominate),
+/// so every `(format, column)` pair is its own runtime job.
 fn measure_against_oracles(
     columns: &[Column],
     oracles: &[BigFloat],
     ctx: &Context,
     rt: &Runtime,
 ) -> Vec<ColumnEval> {
+    /// One measurement per entry of [`FORMATS`], in the same order.
+    const MEASURES: [fn(&Column, &BigFloat, &Context) -> ErrorMeasurement; 5] = [
+        measure_as::<f64>,
+        measure_as::<LogF64>,
+        measure_as::<P64E9>,
+        measure_as::<P64E12>,
+        measure_as::<P64E18>,
+    ];
     assert_eq!(columns.len(), oracles.len(), "one oracle per column");
-    rt.par_map_index(columns.len(), |i| {
-        let col = &columns[i];
-        let oracle = &oracles[i];
-        let errors = vec![
-            ("binary64", measure_as::<f64>(col, oracle, ctx)),
-            ("Log", measure_as::<LogF64>(col, oracle, ctx)),
-            ("posit(64,9)", measure_as::<P64E9>(col, oracle, ctx)),
-            ("posit(64,12)", measure_as::<P64E12>(col, oracle, ctx)),
-            ("posit(64,18)", measure_as::<P64E18>(col, oracle, ctx)),
-        ];
-        ColumnEval {
+    let n = columns.len();
+    let flat = rt.par_map_index(MEASURES.len() * n, |j| {
+        let i = j % n;
+        MEASURES[j / n](&columns[i], &oracles[i], ctx)
+    });
+    oracles
+        .iter()
+        .enumerate()
+        .map(|(i, oracle)| ColumnEval {
             oracle_exp: oracle.exponent(),
-            errors,
-        }
-    })
+            errors: FORMATS
+                .iter()
+                .enumerate()
+                .map(|(f, &name)| (name, flat[f * n + i]))
+                .collect(),
+        })
+        .collect()
 }
 
 fn measure_as<T: StatFloat>(col: &Column, oracle: &BigFloat, ctx: &Context) -> ErrorMeasurement {

@@ -21,9 +21,10 @@
 //! namespace and kernel tag — the VICAR (`fig10`) tag and bytes are
 //! untouched.
 
+use super::op_sweep::{median_of, op_accuracy, render_panel, OpFormat};
 use crate::Scale;
 use compstat_bigfloat::{Context, HdrFloat};
-use compstat_core::accuracy::{bucketed_accuracy, figure3_buckets, BucketAccuracy, OpKind};
+use compstat_core::accuracy::{figure3_buckets, BucketAccuracy, OpKind};
 use compstat_core::cache::{CacheKey, OracleCache};
 use compstat_core::error::measure;
 use compstat_core::report::{fmt_f64, Report, Table};
@@ -65,41 +66,13 @@ const FWD_SEED: u64 = 0x4D8_0001;
 
 /// The format set of panels (a)–(c): the paper's in-range champion
 /// (binary64), both range-extending 64-bit formats, and hdr(53).
-#[derive(Clone, Copy)]
-enum Fmt {
-    B64,
-    Log,
-    P18,
-    Hdr,
-}
-
-const FMTS: [Fmt; 4] = [Fmt::B64, Fmt::Log, Fmt::P18, Fmt::Hdr];
-
-fn run_format(
-    fmt: Fmt,
-    op: OpKind,
-    corpus: &[SampledOp],
-    ctx: &Context,
-) -> (&'static str, Vec<BucketAccuracy>) {
-    let buckets = figure3_buckets();
-    match fmt {
-        Fmt::B64 => (
-            "binary64",
-            bucketed_accuracy::<f64>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::Log => (
-            "Log",
-            bucketed_accuracy::<LogF64>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::P18 => (
-            "posit(64,18)",
-            bucketed_accuracy::<P64E18>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-        Fmt::Hdr => (
-            "hdr(53)",
-            bucketed_accuracy::<HdrFloat>(op, corpus, &buckets, FLOOR_LOG10, ctx),
-        ),
-    }
+fn formats() -> [OpFormat; 4] {
+    [
+        OpFormat::of::<f64>(),
+        OpFormat::of::<LogF64>(),
+        OpFormat::of::<P64E18>(),
+        OpFormat::of::<HdrFloat>(),
+    ]
 }
 
 /// The scale-determined forward-pass workload: `(t_len, models, h)`.
@@ -284,82 +257,17 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-fn median_of(results: &[(&str, Vec<BucketAccuracy>)], name: &str, bucket: usize) -> Option<f64> {
-    results
-        .iter()
-        .find(|(n, _)| *n == name)
-        .and_then(|(_, acc)| acc[bucket].stats.as_ref().map(|s| s.p50))
-}
-
-fn panel<'a>(
+fn panel(
     r: &mut Report,
     title: &str,
     op: OpKind,
     corpus: &[SampledOp],
     ctx: &Context,
     rt: &Runtime,
-) -> Vec<(&'a str, Vec<BucketAccuracy>)> {
+) -> Vec<(&'static str, Vec<BucketAccuracy>)> {
     let buckets = figure3_buckets();
-    let results: Vec<(&str, Vec<BucketAccuracy>)> =
-        rt.par_map(&FMTS, |fmt| run_format(*fmt, op, corpus, ctx));
-    let mut t = Table::new(vec![
-        "bucket (result exp)".into(),
-        "format".into(),
-        "p5".into(),
-        "p25".into(),
-        "median".into(),
-        "p75".into(),
-        "p95".into(),
-        "n".into(),
-        "underflow".into(),
-    ]);
-    for (bi, bucket) in buckets.iter().enumerate() {
-        for (name, acc) in &results {
-            let a = &acc[bi];
-            if *name == "binary64" && a.total > 0 && a.underflows == a.total {
-                t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    "(underflows)".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]);
-                continue;
-            }
-            match &a.stats {
-                Some(s) => t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    fmt_f64(s.p5, 2),
-                    fmt_f64(s.p25, 2),
-                    fmt_f64(s.p50, 2),
-                    fmt_f64(s.p75, 2),
-                    fmt_f64(s.p95, 2),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]),
-                None => t.row(vec![
-                    bucket.label(),
-                    (*name).into(),
-                    "-".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    a.total.to_string(),
-                    a.underflows.to_string(),
-                ]),
-            }
-        }
-    }
-    r.text(format!(
-        "{title} — log10(relative error), five-number summaries\n"
-    ));
-    r.table(t);
+    let results = op_accuracy(&formats(), op, corpus, &buckets, FLOOR_LOG10, ctx, rt);
+    render_panel(r, title, &buckets, &results);
     results
 }
 
@@ -375,8 +283,15 @@ mod tests {
         let ctx = Context::new(256);
         let mut rng = StdRng::seed_from_u64(41);
         let muls = sample_multiplications(&mut rng, 4_000, -10_050, 0, &ctx);
-        let results =
-            Runtime::from_env().par_map(&FMTS, |fmt| run_format(*fmt, OpKind::Mul, &muls, &ctx));
+        let results = op_accuracy(
+            &formats(),
+            OpKind::Mul,
+            &muls,
+            &figure3_buckets(),
+            FLOOR_LOG10,
+            &ctx,
+            &Runtime::from_env(),
+        );
         let get = |name: &str, b: usize| median_of(&results, name, b).expect("median");
         assert!(
             get("hdr(53)", 2) < get("Log", 2),

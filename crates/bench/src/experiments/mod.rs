@@ -14,6 +14,7 @@ pub mod fig10_vicar;
 pub mod fig11_lofreq;
 pub mod hdr_format;
 pub mod model_tables;
+mod op_sweep;
 
 pub use ablations::{ablation_es_sweep, ablation_lse_variants, ablation_scaled_forward};
 pub use fig01_alpha::figure1_report;

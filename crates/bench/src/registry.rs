@@ -113,19 +113,19 @@ entry!(
     AblationEs,
     ablations::NAME_ES,
     ablations::TITLE_ES,
-    |s, _| { ablations::es_report(s) }
+    ablations::es_report
 );
 entry!(
     AblationLse,
     ablations::NAME_LSE,
     ablations::TITLE_LSE,
-    |s, _| { ablations::lse_report(s) }
+    ablations::lse_report
 );
 entry!(
     AblationScaled,
     ablations::NAME_SCALED,
     ablations::TITLE_SCALED,
-    |s, _| { ablations::scaled_report(s) }
+    ablations::scaled_report
 );
 entry!(Hdr, hdr_format::NAME, hdr_format::TITLE, hdr_format::report);
 

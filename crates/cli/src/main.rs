@@ -80,7 +80,11 @@ fn emit(text: &str) -> Emit {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--help`/`-h` anywhere after the subcommand asks for the usage,
+    // not for the subcommand to reject an unknown flag.
+    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     match args.first().map(String::as_str) {
+        Some(_) if wants_help => print_usage(),
         Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
@@ -90,19 +94,21 @@ fn main() -> ExitCode {
         Some("audit") => cmd_audit(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("help" | "--help" | "-h") | None => {
-            // Through emit(), not print!: `compstat help | head -1`
-            // must exit 0, not panic on the broken pipe.
-            match emit(USAGE) {
-                Emit::Failed => ExitCode::FAILURE,
-                _ => ExitCode::SUCCESS,
-            }
-        }
+        Some("help" | "--help" | "-h") | None => print_usage(),
         Some(other) => {
             eprintln!("compstat: unknown command {other:?}\n");
             eprint!("{USAGE}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Prints [`USAGE`] to stdout. Through emit(), not print!:
+/// `compstat help | head -1` must exit 0, not panic on the broken pipe.
+fn print_usage() -> ExitCode {
+    match emit(USAGE) {
+        Emit::Failed => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
     }
 }
 
@@ -126,7 +132,7 @@ USAGE:
     compstat serve --bench [--connections N] [--requests M]
                    [--addr H:P] [--out DIR]
     compstat serve --send FILE --addr H:P | --offline FILE
-    compstat help
+    compstat help | <command> --help
 
 COMMANDS:
     list        List every registered experiment (name and title)

@@ -74,10 +74,23 @@ fn usage_errors_exit_2() {
         let out = compstat(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
     }
-    // help goes to stdout and exits 0.
-    let out = compstat(&["help"]);
-    assert!(out.status.success());
-    assert!(String::from_utf8(out.stdout).unwrap().contains("USAGE"));
+    // help goes to stdout and exits 0, also as a flag after any
+    // subcommand (which would otherwise reject it as unknown).
+    for args in [
+        &["help"][..],
+        &["--help"],
+        &["run", "--help"],
+        &["run", "--all", "-h"],
+        &["bench", "--help"],
+        &["diff", "-h"],
+        &["serve", "--help"],
+        &["list", "--help"],
+    ] {
+        let out = compstat(args);
+        assert!(out.status.success(), "args {args:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("USAGE"), "args {args:?}");
+    }
 }
 
 #[test]

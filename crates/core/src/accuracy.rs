@@ -99,37 +99,54 @@ pub struct BucketAccuracy {
     pub total: usize,
 }
 
-/// Runs one format over a pre-sampled operation corpus and buckets the
-/// errors by exact-result exponent.
+/// One measured operation of an accuracy sweep: the index of the
+/// bucket its exact result falls in, and the format's error on it.
+pub type OpRecord = (usize, ErrorMeasurement);
+
+/// Runs one format over a pre-sampled operation corpus, yielding one
+/// [`OpRecord`] per operation whose exact-result exponent lands in a
+/// bucket, in corpus order.
 ///
-/// `Exact` measurements enter the statistics at `floor_log10` (the plot
-/// floor), mirroring how a log-scale box plot would render them.
-pub fn bucketed_accuracy<T: StatFloat>(
+/// Each record depends only on its own operation, so a corpus may be
+/// cut into any chunks and measured in parallel: concatenating the
+/// chunks' records in order gives exactly the records of the whole.
+pub fn op_records<T: StatFloat>(
     op: OpKind,
     corpus: &[SampledOp],
     buckets: &[ExponentBucket],
-    floor_log10: f64,
     ctx: &Context,
+) -> Vec<OpRecord> {
+    corpus
+        .iter()
+        .filter_map(|s| {
+            let e = s.exact.exponent()?;
+            let idx = buckets.iter().position(|b| b.contains(e))?;
+            let a = T::from_bigfloat(&s.a);
+            let b = T::from_bigfloat(&s.b);
+            let r = match op {
+                OpKind::Add => a.add(b),
+                OpKind::Mul => a.mul(b),
+            };
+            Some((idx, measure(&s.exact, &r, ctx)))
+        })
+        .collect()
+}
+
+/// Folds records, in order, into per-bucket accuracy.
+///
+/// `Exact` measurements enter the statistics at `floor_log10` (the plot
+/// floor), mirroring how a log-scale box plot would render them.
+pub fn aggregate_records<'a>(
+    records: impl IntoIterator<Item = &'a OpRecord>,
+    buckets: &[ExponentBucket],
+    floor_log10: f64,
 ) -> Vec<BucketAccuracy> {
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); buckets.len()];
     let mut underflows = vec![0usize; buckets.len()];
     let mut invalid = vec![0usize; buckets.len()];
     let mut totals = vec![0usize; buckets.len()];
 
-    for s in corpus {
-        let Some(e) = s.exact.exponent() else {
-            continue;
-        };
-        let Some(idx) = buckets.iter().position(|b| b.contains(e)) else {
-            continue;
-        };
-        let a = T::from_bigfloat(&s.a);
-        let b = T::from_bigfloat(&s.b);
-        let r = match op {
-            OpKind::Add => a.add(b),
-            OpKind::Mul => a.mul(b),
-        };
-        let m: ErrorMeasurement = measure(&s.exact, &r, ctx);
+    for &(idx, m) in records {
         totals[idx] += 1;
         match m.class {
             ErrorClass::Exact => samples[idx].push(floor_log10),
@@ -153,6 +170,23 @@ pub fn bucketed_accuracy<T: StatFloat>(
             total: totals[i],
         })
         .collect()
+}
+
+/// Runs one format over a pre-sampled operation corpus and buckets the
+/// errors by exact-result exponent: [`op_records`] followed by
+/// [`aggregate_records`].
+pub fn bucketed_accuracy<T: StatFloat>(
+    op: OpKind,
+    corpus: &[SampledOp],
+    buckets: &[ExponentBucket],
+    floor_log10: f64,
+    ctx: &Context,
+) -> Vec<BucketAccuracy> {
+    aggregate_records(
+        &op_records::<T>(op, corpus, buckets, ctx),
+        buckets,
+        floor_log10,
+    )
 }
 
 #[cfg(test)]
@@ -215,6 +249,58 @@ mod tests {
             ps.p50,
             ls.p50
         );
+    }
+
+    /// Records computed chunk by chunk and aggregated in order must
+    /// reproduce the one-pass result exactly, for every chunking.
+    fn assert_chunked_aggregation_is_exact<T: StatFloat>(corpus: &[SampledOp], ctx: &Context) {
+        let buckets = figure3_buckets();
+        for op in [OpKind::Add, OpKind::Mul] {
+            let whole = bucketed_accuracy::<T>(op, corpus, &buckets, -18.5, ctx);
+            assert!(
+                whole.iter().any(|a| a.total > 0),
+                "{} {op:?}: empty",
+                T::NAME
+            );
+            for chunk in [1, 7, 64, corpus.len() - 1, corpus.len()] {
+                let records: Vec<Vec<OpRecord>> = corpus
+                    .chunks(chunk)
+                    .map(|c| op_records::<T>(op, c, &buckets, ctx))
+                    .collect();
+                let got = aggregate_records(records.iter().flatten(), &buckets, -18.5);
+                assert_eq!(got.len(), whole.len());
+                for (g, w) in got.iter().zip(&whole) {
+                    let what = format!("{} {op:?} chunk {chunk} {}", T::NAME, w.bucket.label());
+                    assert_eq!(g.bucket, w.bucket, "{what}");
+                    assert_eq!(
+                        (g.total, g.underflows, g.invalid),
+                        (w.total, w.underflows, w.invalid),
+                        "{what}"
+                    );
+                    let bits = |a: &BucketAccuracy| {
+                        a.stats.as_ref().map(|s| {
+                            let q = [s.p5, s.p25, s.p50, s.p75, s.p95];
+                            (q.map(f64::to_bits), s.count)
+                        })
+                    };
+                    assert_eq!(bits(g), bits(w), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_records_aggregate_to_the_one_pass_result() {
+        // Magnitudes span binary64's range and well beyond it, so the
+        // corpus exercises normal, exact, underflow and saturated
+        // results in several buckets.
+        let ctx = Context::new(256);
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut corpus = sample_additions(&mut rng, 150, -10_050, 0, 60, &ctx);
+        corpus.extend(sample_multiplications(&mut rng, 150, -10_050, 0, &ctx));
+        assert_chunked_aggregation_is_exact::<f64>(&corpus, &ctx);
+        assert_chunked_aggregation_is_exact::<LogF64>(&corpus, &ctx);
+        assert_chunked_aggregation_is_exact::<P64E18>(&corpus, &ctx);
     }
 
     #[test]

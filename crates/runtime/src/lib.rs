@@ -17,9 +17,13 @@
 //! 1. **Pure per-item work.** The mapped closure receives only its item
 //!    (and index); it shares no mutable state, so item results cannot
 //!    depend on scheduling.
-//! 2. **Ordered merging.** Items are processed in contiguous chunks and
-//!    chunk results are concatenated in chunk order, so the output
-//!    `Vec` is index-for-index the serial output.
+//! 2. **Ordered merging.** `0..n` is cut into about
+//!    `threads × CHUNKS_PER_THREAD` contiguous chunks, which workers
+//!    claim one at a time from a shared counter (self-scheduling, so a
+//!    worker that drew cheap items simply claims more). Each chunk's
+//!    results are stored under its chunk index and concatenated in
+//!    chunk order, so the output `Vec` is index-for-index the serial
+//!    output no matter which worker ran which chunk.
 //! 3. **Index-derived RNG streams.** Randomized sweeps draw from one
 //!    independent generator per work *item*, derived from a base
 //!    generator via the vendored xoshiro's jump-equivalent
@@ -63,18 +67,30 @@
 //!
 //! If a mapped closure panics, the panic payload is re-raised on the
 //! calling thread (after all in-flight workers finish) — a panicking
-//! experiment fails its test the same way it would serially.
+//! experiment fails its test the same way it would serially. When
+//! several items panic, the one with the lowest index wins, exactly
+//! as in the serial loop: once a chunk panics no new chunks are
+//! claimed, but every lower chunk was claimed earlier and runs to
+//! completion, so the lowest panicking item is always among those
+//! that ran.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use rand::rngs::StdRng;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Upper bound on an explicitly requested thread count. Chunking caps
 /// real spawns at the item count, so larger values could not help —
 /// they only ever indicate a unit mix-up in `COMPSTAT_THREADS`.
 pub const MAX_THREADS: usize = 4096;
+
+/// Chunks per worker in a parallel map. Enough that a worker stuck on
+/// an expensive chunk leaves plenty for the others to claim, few
+/// enough that claiming (one atomic add) and merging stay negligible.
+const CHUNKS_PER_THREAD: usize = 16;
 
 /// Upper bound on a shard count (`--shard K/N`). A fleet wider than
 /// this could not be fed work anyway — the registry and the sweeps top
@@ -553,13 +569,15 @@ impl Runtime {
         })
     }
 
-    /// The chunk engine behind every map: splits `0..n` into at most
-    /// `threads` contiguous ranges, runs `work` on each (scoped threads
-    /// when more than one), and concatenates results in range order.
+    /// The chunk engine behind every map: cuts `0..n` into about
+    /// `threads × CHUNKS_PER_THREAD` contiguous chunks, lets `threads`
+    /// scoped workers claim them in ascending order from a shared
+    /// counter, and concatenates the results in chunk order. With one
+    /// thread `work` runs once over `0..n` on the calling thread.
     ///
-    /// If any worker panics, the first panic (in chunk order) is
-    /// propagated on the calling thread after the scope joins every
-    /// worker.
+    /// If any chunk panics, workers stop claiming new chunks and the
+    /// panic of the lowest-index chunk is propagated on the calling
+    /// thread after the scope joins every worker.
     fn run_chunks<U, W>(&self, n: usize, work: W) -> Vec<U>
     where
         U: Send,
@@ -572,34 +590,52 @@ impl Runtime {
         if threads <= 1 {
             return work(0..n);
         }
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(n))
-            .collect();
-        let work = &work;
-        let mut out = Vec::with_capacity(n);
+        let size = n.div_ceil(threads * CHUNKS_PER_THREAD);
+        let chunks = n.div_ceil(size);
+        // Both atomics publish nothing but themselves: chunk results
+        // and panic payloads travel back through the thread joins.
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let worker = || {
+            let mut done: Vec<(usize, std::thread::Result<Vec<U>>)> = Vec::new();
+            while !failed.load(Ordering::Relaxed) {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= chunks {
+                    break;
+                }
+                let range = c * size..((c + 1) * size).min(n);
+                let part = panic::catch_unwind(AssertUnwindSafe(|| work(range)));
+                if part.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                done.push((c, part));
+            }
+            done
+        };
+        let mut parts: Vec<Option<std::thread::Result<Vec<U>>>> =
+            std::iter::repeat_with(|| None).take(chunks).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(move || work(range)))
-                .collect();
-            // Joining in spawn order keeps the merge ordered; a panic
-            // payload is carried out of the scope (which still joins
-            // the remaining workers) and re-raised for the caller.
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(payload) => {
-                        panic.get_or_insert(payload);
-                    }
+                let done = handle
+                    .join()
+                    .expect("chunk panics are caught inside the worker");
+                for (c, part) in done {
+                    parts[c] = Some(part);
                 }
             }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
-            }
         });
+        // Chunks are claimed in ascending order, so every chunk below
+        // the first failure ran: the lowest failed chunk comes before
+        // any unclaimed one.
+        let mut out = Vec::with_capacity(n);
+        for part in parts {
+            match part {
+                Some(Ok(items)) => out.extend(items),
+                Some(Err(payload)) => panic::resume_unwind(payload),
+                None => unreachable!("a chunk below the first panic went unclaimed"),
+            }
+        }
         out
     }
 }
@@ -716,12 +752,61 @@ mod tests {
             })
         });
         let payload = result.expect_err("panic must propagate");
-        let msg = payload
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("item 61 exploded"), "payload: {msg}");
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
             .downcast_ref::<&str>()
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .expect("panic payload is a message");
-        assert!(msg.contains("item 61 exploded"), "payload: {msg}");
+            .expect("panic payload is a message")
+    }
+
+    #[test]
+    fn lowest_index_panic_wins_even_when_it_fires_last() {
+        // Item n-1 panics first, on whichever worker reaches the last
+        // chunk; item 0 panics only once that panic is unwinding. The
+        // serial loop would report item 0, so the parallel runtime
+        // must too.
+        struct Raise<'a>(&'a AtomicBool);
+        impl Drop for Raise<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let n = 64;
+        for threads in [2, 3, 4] {
+            let high_panicked = AtomicBool::new(false);
+            let result = std::panic::catch_unwind(|| {
+                Runtime::with_threads(threads).par_map_index(n, |i| {
+                    if i == 0 {
+                        let start = std::time::Instant::now();
+                        while !high_panicked.load(Ordering::SeqCst)
+                            && start.elapsed().as_secs() < 10
+                        {
+                            std::thread::yield_now();
+                        }
+                        // Let the high chunk's failure be recorded first.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        panic!("low item panicked");
+                    }
+                    if i == n - 1 {
+                        let _raise = Raise(&high_panicked);
+                        panic!("high item panicked");
+                    }
+                    i
+                })
+            });
+            assert!(high_panicked.load(Ordering::SeqCst), "threads={threads}");
+            let payload = result.expect_err("panic must propagate");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "low item panicked",
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
