@@ -18,7 +18,8 @@
 //!   differ by an ulp for some operands: the classic debug/release
 //!   divergence. Call `f64::exp2` directly.
 //! * [`Rule::LossyCast`] — no silent float↔int `as` casts in the
-//!   numeric kernels (`crates/bigfloat`, `crates/hmm`, `crates/pbd`):
+//!   numeric kernels (`crates/bigfloat`, `crates/hmm`, `crates/pbd`,
+//!   `crates/posit`):
 //!   `as` rounds, truncates, and saturates without a trace. Use the
 //!   explicit conversion APIs, or carry a reasoned `allow` naming the
 //!   bound that makes the cast exact.

@@ -19,7 +19,7 @@
 //!   encoder).
 //! * `powf-exp2` applies everywhere; the divergence class is global.
 //! * `lossy-cast` applies to the numeric kernels (`bigfloat`, `hmm`,
-//!   `pbd`).
+//!   `pbd`, `posit`).
 //! * `panic-in-serve` applies to the untrusted request path
 //!   (`crates/serve/src/proto.rs`, `server.rs`).
 
@@ -69,7 +69,12 @@ const FLOAT_FORMAT_SCOPE: &[&str] = &[
 ];
 
 /// Numeric-kernel crates where `lossy-cast` binds.
-const LOSSY_CAST_SCOPE: &[&str] = &["crates/bigfloat/src/", "crates/hmm/src/", "crates/pbd/src/"];
+const LOSSY_CAST_SCOPE: &[&str] = &[
+    "crates/bigfloat/src/",
+    "crates/hmm/src/",
+    "crates/pbd/src/",
+    "crates/posit/src/",
+];
 
 /// The untrusted serve request path where `panic-in-serve` binds.
 const PANIC_SCOPE: &[&str] = &["crates/serve/src/proto.rs", "crates/serve/src/server.rs"];
@@ -211,6 +216,7 @@ mod tests {
     fn kernel_crates_get_lossy_cast() {
         assert!(rules_for("crates/bigfloat/src/arith.rs").contains(&Rule::LossyCast));
         assert!(rules_for("crates/hmm/src/forward.rs").contains(&Rule::LossyCast));
+        assert!(rules_for("crates/posit/src/encode.rs").contains(&Rule::LossyCast));
         assert!(!rules_for("crates/fpga/src/pe.rs").contains(&Rule::LossyCast));
     }
 

@@ -7,7 +7,7 @@
 //! `non_deterministic: true`), which never enter a report directory and
 //! therefore never reach the `compstat diff` gate.
 //!
-//! Three suites:
+//! Four suites:
 //!
 //! * [`bigfloat_suite`] — serial micro-benchmarks of the arbitrary-
 //!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits), plus
@@ -22,6 +22,11 @@
 //!   figures pay for: the shared Figure 9/11 p-value sweep and the
 //!   Figure 10 VICAR forward sweep, run cache-off so the arithmetic is
 //!   actually exercised.
+//! * [`formats_suite`] — the 64-bit formats under study, per op
+//!   (posit(64, 9/12/18) add/mul/div, binary64 and log-space add/mul)
+//!   and per kernel (the PBD p-value over a fixed slice of the
+//!   Figure 9 corpus in every format), so a change to a format's
+//!   arithmetic shows up as a row.
 //!
 //! Timing methodology: each entry runs `iters` iterations per
 //! repetition, `reps` repetitions after one untimed warm-up, and
@@ -32,6 +37,10 @@ use crate::experiments::{fig09_pvalues, fig10_vicar};
 use crate::Scale;
 use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat, MAX_PREC, MIN_PREC};
 use compstat_core::bench_doc::{BenchDoc, BenchEntry};
+use compstat_core::StatFloat;
+use compstat_logspace::LogF64;
+use compstat_pbd::Column;
+use compstat_posit::{P64E12, P64E18, P64E9};
 use compstat_runtime::{CacheMode, Runtime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -389,6 +398,145 @@ pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
     }
 }
 
+/// How many leading columns of the quick-scale Figure 9 corpus one
+/// `pbd/pvalue/<format>` call evaluates. Fixed across scales, so the
+/// rows compare between runs at any scale.
+pub const FORMATS_PBD_COLUMNS: usize = 16;
+
+/// The `<format>` labels of the `pbd/pvalue/<format>` rows.
+pub const FORMATS_PBD_LABELS: [&str; 6] = [
+    "binary64",
+    "log",
+    "posit64-9",
+    "posit64-12",
+    "posit64-18",
+    "hdr",
+];
+
+/// Builds the formats suite: per-op rows `posit/{add,mul,div}/64-<ES>`
+/// for ES 9, 12 and 18, `binary64/{add,mul}` and
+/// `log/{add,mul}`, and one `pbd/pvalue/<format>` row per
+/// [`FORMATS_PBD_LABELS`] entry, timing one pass over the first
+/// [`FORMATS_PBD_COLUMNS`] columns of the quick Figure 9 corpus.
+///
+/// The kernels are serial, so the document's `threads` is always 1.
+#[must_use]
+pub fn formats_suite(scale: Scale) -> BenchDoc {
+    let reps = scale.pick(5, 7, 9) as u32;
+    let op_iters = scale.pick(20_000, 100_000, 400_000) as u64;
+    let pass_iters = scale.pick(2, 5, 10) as u64;
+    let corpus = fig09_pvalues::corpus_for(Scale::Quick);
+    BenchDoc {
+        suite: "formats".into(),
+        scale: scale.as_str().into(),
+        threads: 1,
+        unix_ms: unix_ms_now(),
+        entries: formats_entries(op_iters, pass_iters, reps, &corpus[..FORMATS_PBD_COLUMNS]),
+    }
+}
+
+/// The formats suite's rows at the given budgets, the p-value rows over
+/// `columns`.
+fn formats_entries(
+    op_iters: u64,
+    pass_iters: u64,
+    reps: u32,
+    columns: &[Column],
+) -> Vec<BenchEntry> {
+    let pool = operand_pool(128, OP_POOL, 0xF0_4A75)
+        .expect("128 bits is whole limbs inside MIN_PREC..=MAX_PREC");
+    let ops = OpRows {
+        pool,
+        iters: op_iters,
+        reps,
+    };
+    let posit = ["add", "mul", "div"];
+    // Only add and mul for binary64 and log-space: their division is
+    // not a kernel the recurrences use.
+    let plain = ["add", "mul"];
+    let mut entries = Vec::new();
+    ops.push::<P64E9>(&mut entries, &posit, |op| format!("posit/{op}/64-9"));
+    ops.push::<P64E12>(&mut entries, &posit, |op| format!("posit/{op}/64-12"));
+    ops.push::<P64E18>(&mut entries, &posit, |op| format!("posit/{op}/64-18"));
+    ops.push::<f64>(&mut entries, &plain, |op| format!("binary64/{op}"));
+    ops.push::<LogF64>(&mut entries, &plain, |op| format!("log/{op}"));
+    let pvalue = [
+        pvalue_row::<f64>,
+        pvalue_row::<LogF64>,
+        pvalue_row::<P64E9>,
+        pvalue_row::<P64E12>,
+        pvalue_row::<P64E18>,
+        pvalue_row::<HdrFloat>,
+    ];
+    for (label, row) in FORMATS_PBD_LABELS.into_iter().zip(pvalue) {
+        entries.push(row(label, columns, pass_iters, reps));
+    }
+    entries
+}
+
+/// Operand-pool size of the per-op rows (a power of two, so cycling
+/// through it is a mask, not a division, inside the timed loop).
+const OP_POOL: usize = 64;
+
+/// The per-op rows' operands and budget.
+struct OpRows {
+    pool: Vec<BigFloat>,
+    iters: u64,
+    reps: u32,
+}
+
+impl OpRows {
+    /// Appends one row per op in `ops` (`add`, `mul` or `div`, named by
+    /// `id`), timing that op on `T` over pairs drawn from the pool
+    /// rounded into `T`.
+    fn push<T: StatFloat>(
+        &self,
+        out: &mut Vec<BenchEntry>,
+        ops: &[&str],
+        id: impl Fn(&str) -> String,
+    ) {
+        let xs: Vec<T> = self.pool.iter().map(T::from_bigfloat).collect();
+        let pairs: Vec<(T, T)> = (0..OP_POOL)
+            .map(|i| (xs[i], xs[(i + 7) % OP_POOL]))
+            .collect();
+        let (iters, reps) = (self.iters, self.reps);
+        for &op in ops {
+            let id = id(op);
+            out.push(match op {
+                "add" => time_op(&id, &pairs, iters, reps, T::add),
+                "mul" => time_op(&id, &pairs, iters, reps, T::mul),
+                _ => time_op(&id, &pairs, iters, reps, T::div),
+            });
+        }
+    }
+}
+
+/// Times `op` cycling through `pairs`; `op` is a function item, so the
+/// call is static and inlinable inside the timed loop.
+fn time_op<T: Copy>(
+    id: &str,
+    pairs: &[(T, T)],
+    iters: u64,
+    reps: u32,
+    op: impl Fn(T, T) -> T,
+) -> BenchEntry {
+    let mut i = 0usize;
+    time_entry(id, iters, reps, || {
+        let (a, b) = black_box(pairs[i]);
+        i = (i + 1) & (OP_POOL - 1);
+        black_box(op(a, b));
+    })
+}
+
+/// One `pbd/pvalue/<label>` row: a p-value pass over `columns` in `T`.
+fn pvalue_row<T: StatFloat>(label: &str, columns: &[Column], iters: u64, reps: u32) -> BenchEntry {
+    time_entry(&format!("pbd/pvalue/{label}"), iters, reps, || {
+        for c in columns {
+            black_box(compstat_pbd::pbd_pvalue::<T>(&c.success_probs, c.k).pvalue);
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +671,36 @@ mod tests {
                 assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
             }
         }
+        assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
+    }
+
+    #[test]
+    fn formats_suite_covers_every_row() {
+        // The real row builder at tiny budgets, over two corpus columns.
+        let corpus = fig09_pvalues::corpus_for(Scale::Quick);
+        let doc = BenchDoc {
+            suite: "formats".into(),
+            scale: "quick".into(),
+            threads: 1,
+            unix_ms: unix_ms_now(),
+            entries: formats_entries(2, 1, 2, &corpus[..2]),
+        };
+        let mut want = Vec::new();
+        for es in [9, 12, 18] {
+            for op in ["add", "mul", "div"] {
+                want.push(format!("posit/{op}/64-{es}"));
+            }
+        }
+        for family in ["binary64", "log"] {
+            for op in ["add", "mul"] {
+                want.push(format!("{family}/{op}"));
+            }
+        }
+        for label in FORMATS_PBD_LABELS {
+            want.push(format!("pbd/pvalue/{label}"));
+        }
+        let got: Vec<&str> = doc.entries.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(got, want);
         assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
     }
 

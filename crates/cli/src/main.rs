@@ -200,10 +200,10 @@ OPTIONS (bench):
     --threads N     Worker threads for the hdr forward rows and the
                     oracle suite (the kernel micro-benchmarks are
                     always serial)
-    --out DIR       Also write bench-bigfloat.json, bench-hdr.json and
-                    bench-oracle.json to DIR. Refused if DIR holds an
-                    index.json — bench documents must not contaminate a
-                    report directory
+    --out DIR       Also write bench-bigfloat.json, bench-hdr.json,
+                    bench-oracle.json and bench-formats.json to DIR.
+                    Refused if DIR holds an index.json — bench
+                    documents must not contaminate a report directory
 
 OPTIONS (diff):
     --tolerances F  Load a compstat-tolerances/v1 JSON policy file
@@ -591,8 +591,13 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         rt.threads()
     );
     let oracle = timing::oracle_suite(parsed.scale, &rt);
+    eprintln!(
+        "timing the 64-bit formats' ops and p-value kernels at scale {}...",
+        parsed.scale.as_str()
+    );
+    let formats = timing::formats_suite(parsed.scale);
 
-    for doc in [&bigfloat, &hdr, &oracle] {
+    for doc in [&bigfloat, &hdr, &oracle, &formats] {
         match emit(&format!("\n{}", doc.render_text())) {
             Emit::Ok => {}
             Emit::Closed => return ExitCode::SUCCESS,

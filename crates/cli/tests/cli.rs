@@ -955,6 +955,8 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     assert!(text.contains("oracle/forward/256"), "{text}");
     assert!(text.contains("oracle/fig09-fig11"), "{text}");
     assert!(text.contains("oracle/fig10"), "{text}");
+    assert!(text.contains("posit/add/64-18"), "{text}");
+    assert!(text.contains("pbd/pvalue/posit64-18"), "{text}");
 
     let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -963,7 +965,12 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     files.sort();
     assert_eq!(
         files,
-        ["bench-bigfloat.json", "bench-hdr.json", "bench-oracle.json"]
+        [
+            "bench-bigfloat.json",
+            "bench-formats.json",
+            "bench-hdr.json",
+            "bench-oracle.json"
+        ]
     );
 
     // All documents parse, carry the schema + marker, and pass the
@@ -985,7 +992,7 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     );
     assert!(String::from_utf8(out.stdout)
         .unwrap()
-        .contains("3 document(s) valid"));
+        .contains("4 document(s) valid"));
 
     // A --out pointing at a report directory (holds index.json) is
     // refused before any timing runs, exit 2.

@@ -228,38 +228,49 @@ impl StatFloat for HdrFloat {
 
 macro_rules! statfloat_for_posit {
     ($n:expr, $es:expr, $name:expr) => {
+        // `#[inline]` lets the recurrences (`pbd_pvalue`, `forward`)
+        // inline the kernel instantiated for this format instead of
+        // calling a stub across the crate boundary.
         impl StatFloat for Posit<$n, $es> {
             const NAME: &'static str = $name;
             const KIND: FormatKind = FormatKind::Posit { n: $n, es: $es };
 
+            #[inline]
             fn zero() -> Self {
                 Self::ZERO
             }
 
+            #[inline]
             fn one() -> Self {
                 Self::ONE
             }
 
+            #[inline]
             fn is_zero(&self) -> bool {
                 Posit::is_zero(*self)
             }
 
+            #[inline]
             fn is_invalid(&self) -> bool {
                 self.is_nar()
             }
 
+            #[inline]
             fn add(self, other: Self) -> Self {
                 self + other
             }
 
+            #[inline]
             fn mul(self, other: Self) -> Self {
                 self * other
             }
 
+            #[inline]
             fn div(self, other: Self) -> Self {
                 self / other
             }
 
+            #[inline]
             fn from_f64(x: f64) -> Self {
                 Self::from_f64(x)
             }

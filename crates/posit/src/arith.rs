@@ -1,58 +1,65 @@
 //! Posit arithmetic on raw bit patterns.
 //!
-//! All operations unpack to sign/scale/Q1.63-significand form, compute in
-//! `u128` intermediates wide enough for exact pattern rounding, and pack
-//! with round-to-nearest-even. NaR propagates through every operation.
+//! Every kernel is instantiated per format: `N` (width) and `ES`
+//! (exponent-field size) are const generics, so shifts, masks and the
+//! regime split compile to constants. All operations unpack to
+//! sign/scale/Q1.63-significand form, compute in `u128` intermediates
+//! wide enough for exact pattern rounding, and pack with
+//! round-to-nearest-even. NaR propagates through every operation.
 
 use crate::decode::{decode, mask, Decoded, Unpacked};
 use crate::encode::pack;
 
 #[inline]
-fn nar_bits(n: u32) -> u64 {
-    1u64 << (n - 1)
+const fn nar_bits<const N: u32>() -> u64 {
+    1u64 << (N - 1)
 }
 
 /// Exact negation: two's complement of the pattern.
 #[inline]
-pub fn neg_bits(a: u64, n: u32) -> u64 {
-    a.wrapping_neg() & mask(n)
+#[must_use]
+pub fn neg_bits<const N: u32>(a: u64) -> u64 {
+    a.wrapping_neg() & mask::<N>()
 }
 
 /// Posit addition.
-pub fn add_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
+#[inline]
+#[must_use]
+pub fn add_bits<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    match (decode::<N, ES>(a), decode::<N, ES>(b)) {
+        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits::<N>(),
         (Decoded::Zero, _) => b,
         (_, Decoded::Zero) => a,
-        (Decoded::Finite(x), Decoded::Finite(y)) => add_unpacked(x, y, n, es),
+        (Decoded::Finite(x), Decoded::Finite(y)) => add_unpacked::<N, ES>(x, y),
     }
 }
 
 /// Posit subtraction (`a + (-b)`).
-pub fn sub_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    add_bits(a, neg_bits(b, n), n, es)
+#[inline]
+#[must_use]
+pub fn sub_bits<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    add_bits::<N, ES>(a, neg_bits::<N>(b))
 }
 
-fn add_unpacked(x: Unpacked, y: Unpacked, n: u32, es: u32) -> u64 {
+#[inline]
+fn add_unpacked<const N: u32, const ES: u32>(x: Unpacked, y: Unpacked) -> u64 {
     // Order by magnitude: |big| >= |small|.
     let (big, small) = if (x.scale, x.frac) >= (y.scale, y.frac) {
         (x, y)
     } else {
         (y, x)
     };
-    let d = (big.scale - small.scale) as u64; // >= 0
+    let d = big.scale.abs_diff(small.scale);
 
     // Fixed point with the hidden bit of `big` at bit 126 (one headroom
     // bit at 127 for the same-sign carry).
-    let abig = (big.frac as u128) << 63;
-    let asmall_full = (small.frac as u128) << 63;
+    let abig = u128::from(big.frac) << 63;
+    let asmall_full = u128::from(small.frac) << 63;
     let (asmall, small_sticky) = if d >= 127 {
         (0u128, true)
     } else {
         let shifted = asmall_full >> d;
-        let lost = d > 0 && asmall_full & (((1u128) << d) - 1) != 0;
+        let lost = d > 0 && asmall_full & ((1u128 << d) - 1) != 0;
         (shifted, lost)
     };
 
@@ -60,7 +67,7 @@ fn add_unpacked(x: Unpacked, y: Unpacked, n: u32, es: u32) -> u64 {
         let sum = abig + asmall;
         let (scale_adj, frac, mut sticky) = normalize_sum(sum);
         sticky |= small_sticky;
-        pack(big.negative, big.scale + scale_adj, frac, sticky, n, es)
+        pack::<N, ES>(big.negative, big.scale + scale_adj, frac, sticky)
     } else {
         let mut diff = abig - asmall;
         let mut sticky = false;
@@ -74,16 +81,13 @@ fn add_unpacked(x: Unpacked, y: Unpacked, n: u32, es: u32) -> u64 {
         if diff == 0 {
             return 0; // exact cancellation
         }
-        let top = 127 - diff.leading_zeros() as i64;
-        // Renormalize the hidden bit to position 126 (top <= 126 since the
-        // difference cannot exceed the larger operand).
-        let shift = 126 - top;
-        debug_assert!(shift >= 0);
+        // Renormalize the hidden bit to position 126 (the difference
+        // cannot exceed the larger operand, so bit 127 is clear).
+        let shift = diff.leading_zeros() - 1;
         let v = diff << shift;
-        let scale_adj = -shift;
         let frac = (v >> 63) as u64;
         sticky |= v & ((1u128 << 63) - 1) != 0;
-        pack(big.negative, big.scale + scale_adj, frac, sticky, n, es)
+        pack::<N, ES>(big.negative, big.scale - i64::from(shift), frac, sticky)
     }
 }
 
@@ -104,30 +108,30 @@ fn normalize_sum(sum: u128) -> (i64, u64, bool) {
 }
 
 /// Posit multiplication.
-pub fn mul_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
+#[inline]
+#[must_use]
+pub fn mul_bits<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    match (decode::<N, ES>(a), decode::<N, ES>(b)) {
+        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits::<N>(),
         (Decoded::Zero, _) | (_, Decoded::Zero) => 0,
         (Decoded::Finite(x), Decoded::Finite(y)) => {
             let negative = x.negative != y.negative;
             // Q1.63 * Q1.63 = Q2.126: product in [2^126, 2^128).
-            let p = x.frac as u128 * y.frac as u128;
+            let p = u128::from(x.frac) * u128::from(y.frac);
             let (scale_adj, frac, sticky) = normalize_sum(p);
-            pack(negative, x.scale + y.scale + scale_adj, frac, sticky, n, es)
+            pack::<N, ES>(negative, x.scale + y.scale + scale_adj, frac, sticky)
         }
     }
 }
 
 /// Posit division.
-pub fn div_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
+#[inline]
+#[must_use]
+pub fn div_bits<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    match (decode::<N, ES>(a), decode::<N, ES>(b)) {
+        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits::<N>(),
         // x/0 is NaR (no infinities in posit); 0/x is 0.
-        (_, Decoded::Zero) => nar_bits(n),
+        (_, Decoded::Zero) => nar_bits::<N>(),
         (Decoded::Zero, Decoded::Finite(_)) => 0,
         (Decoded::Finite(x), Decoded::Finite(y)) => {
             let negative = x.negative != y.negative;
@@ -137,18 +141,11 @@ pub fn div_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
             } else {
                 (64, -1)
             };
-            let num = (x.frac as u128) << num_shift;
-            let q = num / y.frac as u128;
-            let rem = num % y.frac as u128;
+            let num = u128::from(x.frac) << num_shift;
+            let q = num / u128::from(y.frac);
+            let rem = num % u128::from(y.frac);
             debug_assert!(q >> 63 == 1, "quotient normalized to Q1.63");
-            pack(
-                negative,
-                x.scale - y.scale + scale_adj,
-                q as u64,
-                rem != 0,
-                n,
-                es,
-            )
+            pack::<N, ES>(negative, x.scale - y.scale + scale_adj, q as u64, rem != 0)
         }
     }
 }
@@ -157,198 +154,175 @@ pub fn div_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
 mod tests {
     use super::*;
 
-    // posit(8,2) value table helpers: decode to f64 by formula.
-    fn p8_to_f64(bits: u64) -> f64 {
-        match decode(bits, 8, 2) {
-            Decoded::Zero => 0.0,
-            Decoded::NaR => f64::NAN,
+    const NAR8: u64 = 0x80;
+
+    /// A posit(8,2) value times 2^27, exactly: every posit(8,2) value is
+    /// an integer multiple of 2^-27 below 2^25, so products and scaled
+    /// quotients of two values stay exact in `i128`. `None` for NaR.
+    fn units(bits: u64) -> Option<i128> {
+        match decode::<8, 2>(bits) {
+            Decoded::Zero => Some(0),
+            Decoded::NaR => None,
             Decoded::Finite(u) => {
-                let m = u.frac as f64 / (1u64 << 63) as f64;
-                let v = m * 2f64.powi(u.scale as i32);
-                if u.negative {
-                    -v
-                } else {
-                    v
-                }
+                let shift = 36 - u.scale;
+                assert!(
+                    u.frac.trailing_zeros() >= shift as u32,
+                    "{bits:#x} off grid"
+                );
+                let v = i128::from(u.frac >> shift);
+                Some(if u.negative { -v } else { v })
             }
         }
     }
 
-    /// Bracket endpoints around a result pattern. Walking +1 from maxpos
-    /// or -1 from -maxpos lands on NaR, which acts as the open end of the
-    /// range on that side.
-    fn bracket(got: u64) -> (f64, f64) {
-        let lo_bits = got.wrapping_sub(1) & 0xFF;
-        let hi_bits = (got + 1) & 0xFF;
-        let lo = if lo_bits == 0x80 {
-            f64::NEG_INFINITY
-        } else {
-            p8_to_f64(lo_bits)
-        };
-        let hi = if hi_bits == 0x80 {
-            f64::INFINITY
-        } else {
-            p8_to_f64(hi_bits)
-        };
-        (lo, hi)
+    fn all_p8() -> Vec<(u64, i128)> {
+        (0..256u64)
+            .filter(|&b| b != NAR8)
+            .map(|b| (b, units(b).unwrap()))
+            .collect()
     }
 
-    fn p8_from_f64_exact(x: f64) -> u64 {
-        // Only for values exactly representable in posit(8,2).
-        for bits in 0u64..256 {
-            if bits == 0x80 {
-                continue;
-            }
-            if p8_to_f64(bits) == x {
-                return bits;
-            }
+    /// Checks a posit(8,2) result `got` against the exact real result
+    /// `num / den` (in 2^-27 units, `den > 0`). Zero iff the exact value
+    /// is zero, never NaR, and the nearest posit by value unless pattern
+    /// rounding picked the other neighbor of a value that sits between
+    /// `got` and one of its pattern neighbors. All comparisons are exact
+    /// integer cross-multiplications.
+    fn assert_correctly_rounded(what: &str, got: u64, num: i128, den: i128, vals: &[(u64, i128)]) {
+        assert!(den > 0);
+        assert_ne!(got, NAR8, "{what} produced NaR");
+        assert_eq!(got == 0, num == 0, "{what} = {got:#04x}, exact {num}/{den}");
+        let dist = |v: i128| (v * den - num).abs();
+        let best = vals.iter().map(|&(_, v)| dist(v)).min().unwrap();
+        let gv = units(got).unwrap();
+        if dist(gv) > best {
+            // Pattern neighbors; stepping onto NaR is the open end.
+            let lo = units(got.wrapping_sub(1) & 0xFF);
+            let hi = units((got + 1) & 0xFF);
+            let above_lo = lo.is_none_or(|lo| lo * den <= num);
+            let below_hi = hi.is_none_or(|hi| num <= hi * den);
+            assert!(
+                above_lo && below_hi,
+                "{what} = {got:#04x} ({gv}), exact {num}/{den}, best distance {best}"
+            );
         }
-        panic!("{x} not representable");
     }
 
     #[test]
     fn exhaustive_add_posit8_matches_real_rounding() {
-        // For every pair of posit(8,2) values, a+b computed here must be
-        // one of the two patterns bracketing the real sum, and must equal
-        // the nearer one when the sum is strictly inside the bracket and
-        // within range (pattern-RNE agrees with value order).
-        let vals: Vec<(u64, f64)> = (0..256)
-            .filter(|&b| b != 0x80)
-            .map(|b| (b as u64, p8_to_f64(b as u64)))
-            .collect();
+        let vals = all_p8();
         for &(ab, av) in &vals {
             for &(bb, bv) in &vals {
-                let got = add_bits(ab, bb, 8, 2);
-                assert_ne!(got, 0x80, "add must not produce NaR");
-                let gv = p8_to_f64(got);
-                let exact = av + bv;
-                // The result must be the closest or tied-closest posit.
-                let mut best = f64::INFINITY;
-                for &(_, v) in &vals {
-                    best = best.min((v - exact).abs());
-                }
-                let err = (gv - exact).abs();
-                // Pattern rounding can differ from value-nearest only at
-                // exact pattern midpoints; allow equality with the second
-                // nearest in that case by checking err <= 2*best is too
-                // loose — instead require err == best OR the exact value
-                // sits between got and its pattern neighbor.
-                if err > best {
-                    let (lo, hi) = bracket(got);
-                    let between = (lo.min(hi) <= exact) && (exact <= lo.max(hi));
-                    assert!(
-                        between,
-                        "add({av}, {bv}) = {gv}, exact {exact}, best err {best}, got err {err}"
-                    );
-                }
+                let got = add_bits::<8, 2>(ab, bb);
+                assert_correctly_rounded(&format!("add({ab:#x}, {bb:#x})"), got, av + bv, 1, &vals);
             }
         }
     }
 
     #[test]
-    fn add_simple_values() {
-        let one = p8_from_f64_exact(1.0);
-        let two = p8_from_f64_exact(2.0);
-        let three = p8_from_f64_exact(3.0);
-        assert_eq!(add_bits(one, one, 8, 2), two);
-        assert_eq!(add_bits(one, two, 8, 2), three);
-        assert_eq!(sub_bits(three, two, 8, 2), one);
-        assert_eq!(sub_bits(one, one, 8, 2), 0);
-    }
-
-    #[test]
-    fn mul_simple_values() {
-        let half = p8_from_f64_exact(0.5);
-        let two = p8_from_f64_exact(2.0);
-        let four = p8_from_f64_exact(4.0);
-        let one = p8_from_f64_exact(1.0);
-        assert_eq!(mul_bits(two, two, 8, 2), four);
-        assert_eq!(mul_bits(two, half, 8, 2), one);
-        assert_eq!(mul_bits(0, two, 8, 2), 0);
-    }
-
-    #[test]
-    fn exhaustive_mul_posit8_is_faithful() {
-        let vals: Vec<(u64, f64)> = (0..256)
-            .filter(|&b| b != 0x80)
-            .map(|b| (b as u64, p8_to_f64(b as u64)))
-            .collect();
+    fn exhaustive_mul_posit8_matches_real_rounding() {
+        let vals = all_p8();
         for &(ab, av) in &vals {
             for &(bb, bv) in &vals {
-                let got = mul_bits(ab, bb, 8, 2);
-                assert_ne!(got, 0x80);
-                let gv = p8_to_f64(got);
-                let exact = av * bv;
-                if exact == 0.0 {
-                    assert_eq!(gv, 0.0, "mul({av},{bv})");
-                    continue;
-                }
-                // Saturation cases: clamp to maxpos/minpos.
-                let maxpos = p8_to_f64(0x7F);
-                let minpos = p8_to_f64(0x01);
-                if exact.abs() >= maxpos {
-                    assert_eq!(gv.abs(), maxpos, "mul({av},{bv}) saturates");
-                    continue;
-                }
-                if exact.abs() <= minpos {
-                    assert_eq!(gv.abs(), minpos, "mul({av},{bv}) clamps at minpos");
-                    continue;
-                }
-                let (lo, hi) = bracket(got);
-                assert!(
-                    (lo.min(hi) < exact && exact < lo.max(hi)) || gv == exact,
-                    "mul({av}, {bv}) = {gv} not faithful (exact {exact})"
+                let got = mul_bits::<8, 2>(ab, bb);
+                // (av/2^27)(bv/2^27) = (av*bv / 2^27) units.
+                assert_correctly_rounded(
+                    &format!("mul({ab:#x}, {bb:#x})"),
+                    got,
+                    av * bv,
+                    1 << 27,
+                    &vals,
                 );
             }
         }
     }
 
     #[test]
-    fn div_inverts_mul() {
-        let vals = [1.0f64, 2.0, 0.5, 4.0, 16.0, 3.0];
-        for &a in &vals {
-            for &b in &vals {
-                let pa = p8_from_f64_exact(a);
-                let pb = p8_from_f64_exact(b);
-                let q = div_bits(mul_bits(pa, pb, 8, 2), pb, 8, 2);
-                // a*b then /b returns a when all intermediates are exact.
-                if (a * b).abs() <= p8_to_f64(0x7F) && p8_to_f64(p8_from_f64_exact(a * b)) == a * b
-                {
-                    assert_eq!(q, pa, "{a} * {b} / {b}");
+    fn exhaustive_div_posit8_matches_real_rounding() {
+        let vals = all_p8();
+        for &(ab, av) in &vals {
+            for &(bb, bv) in &vals {
+                let got = div_bits::<8, 2>(ab, bb);
+                if bv == 0 {
+                    assert_eq!(got, NAR8, "div({ab:#x}, 0)");
+                    continue;
                 }
+                // (av/2^27)/(bv/2^27) = (av * 2^27 / bv) units; the
+                // denominator's sign moves into the numerator.
+                let num = av * (1 << 27) * bv.signum();
+                assert_correctly_rounded(
+                    &format!("div({ab:#x}, {bb:#x})"),
+                    got,
+                    num,
+                    bv.abs(),
+                    &vals,
+                );
             }
         }
     }
 
+    fn p8(units_wanted: i128) -> u64 {
+        all_p8()
+            .into_iter()
+            .find(|&(_, v)| v == units_wanted)
+            .map(|(b, _)| b)
+            .expect("representable in posit(8,2)")
+    }
+
+    const ONE: i128 = 1 << 27;
+
+    #[test]
+    fn add_simple_values() {
+        let (one, two, three) = (p8(ONE), p8(2 * ONE), p8(3 * ONE));
+        assert_eq!(add_bits::<8, 2>(one, one), two);
+        assert_eq!(add_bits::<8, 2>(one, two), three);
+        assert_eq!(sub_bits::<8, 2>(three, two), one);
+        assert_eq!(sub_bits::<8, 2>(one, one), 0);
+    }
+
+    #[test]
+    fn mul_simple_values() {
+        let (half, one, two, four) = (p8(ONE / 2), p8(ONE), p8(2 * ONE), p8(4 * ONE));
+        assert_eq!(mul_bits::<8, 2>(two, two), four);
+        assert_eq!(mul_bits::<8, 2>(two, half), one);
+        assert_eq!(mul_bits::<8, 2>(0, two), 0);
+        assert_eq!(div_bits::<8, 2>(four, two), two);
+        assert_eq!(div_bits::<8, 2>(one, two), half);
+    }
+
     #[test]
     fn div_by_zero_is_nar() {
-        assert_eq!(div_bits(p8_from_f64_exact(1.0), 0, 8, 2), 0x80);
-        assert_eq!(div_bits(0, 0, 8, 2), 0x80);
-        assert_eq!(div_bits(0, p8_from_f64_exact(2.0), 8, 2), 0);
+        let (one, two) = (p8(ONE), p8(2 * ONE));
+        assert_eq!(div_bits::<8, 2>(one, 0), NAR8);
+        assert_eq!(div_bits::<8, 2>(0, 0), NAR8);
+        assert_eq!(div_bits::<8, 2>(0, two), 0);
     }
 
     #[test]
     fn nar_propagates() {
-        let one = p8_from_f64_exact(1.0);
-        for op in [add_bits, sub_bits, mul_bits, div_bits] {
-            assert_eq!(op(0x80, one, 8, 2), 0x80);
-            assert_eq!(op(one, 0x80, 8, 2), 0x80);
+        let one = p8(ONE);
+        for op in [
+            add_bits::<8, 2>,
+            sub_bits::<8, 2>,
+            mul_bits::<8, 2>,
+            div_bits::<8, 2>,
+        ] {
+            assert_eq!(op(NAR8, one), NAR8);
+            assert_eq!(op(one, NAR8), NAR8);
         }
-        assert_eq!(neg_bits(0x80, 8), 0x80);
-        assert_eq!(neg_bits(0, 8), 0);
+        assert_eq!(neg_bits::<8>(NAR8), NAR8);
+        assert_eq!(neg_bits::<8>(0), 0);
     }
 
     #[test]
     fn deep_product_chain_posit64() {
         // 0.5^k scales exactly: bits should decode back to scale -k while
         // in range.
-        let n = 64;
-        let es = 12;
-        let half = pack(false, -1, 1u64 << 63, false, n, es);
-        let mut acc = pack(false, 0, 1u64 << 63, false, n, es);
+        let half = pack::<64, 12>(false, -1, 1u64 << 63, false);
+        let mut acc = pack::<64, 12>(false, 0, 1u64 << 63, false);
         for k in 1..=1000 {
-            acc = mul_bits(acc, half, n, es);
-            if let Decoded::Finite(u) = decode(acc, n, es) {
+            acc = mul_bits::<64, 12>(acc, half);
+            if let Decoded::Finite(u) = decode::<64, 12>(acc) {
                 assert_eq!(u.scale, -k, "iteration {k}");
                 assert_eq!(u.frac, 1u64 << 63);
             } else {

@@ -27,57 +27,51 @@ pub enum Decoded {
     Finite(Unpacked),
 }
 
-/// Decodes an `n`-bit posit with `es` exponent bits.
+/// Decodes a `posit(N, ES)` pattern.
 ///
-/// `bits` must carry the pattern in its low `n` bits (upper bits zero).
+/// `bits` must carry the pattern in its low `N` bits (upper bits zero).
 #[inline]
-pub fn decode(bits: u64, n: u32, es: u32) -> Decoded {
-    debug_assert!((3..=64).contains(&n));
-    debug_assert!(es <= 30);
-    debug_assert!(n == 64 || bits >> n == 0, "stray bits above the pattern");
+#[must_use]
+pub fn decode<const N: u32, const ES: u32>(bits: u64) -> Decoded {
+    debug_assert!((3..=64).contains(&N));
+    debug_assert!(ES <= 30);
+    debug_assert!(N == 64 || bits >> N == 0, "stray bits above the pattern");
     if bits == 0 {
         return Decoded::Zero;
     }
-    let sign_mask = 1u64 << (n - 1);
+    let sign_mask = 1u64 << (N - 1);
     if bits == sign_mask {
         return Decoded::NaR;
     }
     let negative = bits & sign_mask != 0;
-    // Two's-complement negation within n bits yields the magnitude pattern.
+    // Two's-complement negation within N bits yields the magnitude pattern.
     let mag = if negative {
-        bits.wrapping_neg() & mask(n)
+        bits.wrapping_neg() & mask::<N>()
     } else {
         bits
     };
-    // Left-align the n-1 body bits at bit 63; vacated low bits read as the
+    // Left-align the N-1 body bits at bit 63; vacated low bits read as the
     // zero padding the posit standard prescribes for truncated fields.
-    let body = mag << (64 - (n - 1));
-    let r = body >> 63;
-    let run = if r == 1 {
-        body.leading_ones()
-    } else {
-        body.leading_zeros()
-    };
+    let body = mag << (65 - N);
+    let ones = body >> 63 == 1;
+    // Flipping a leading-ones body turns its run into leading zeros.
+    let run = if ones { !body } else { body }.leading_zeros();
     // A run of ones can extend into the zero padding only for maxpos,
-    // where leading_ones stops at the padding; cap to the body width.
-    let run = run.min(n - 1);
-    let k: i64 = if r == 1 {
-        run as i64 - 1
+    // where the flipped padding reads as more ones; cap to the body width.
+    let run = run.min(N - 1);
+    let k = if ones {
+        i64::from(run) - 1
     } else {
-        -(run as i64)
+        -i64::from(run)
     };
-    // Regime field: run + terminating bit, capped at the body width.
-    let regime_len = (run + 1).min(n - 1);
-    let rem = if regime_len >= 64 {
-        0
-    } else {
-        body << regime_len
-    };
-    let e = if es == 0 { 0 } else { rem >> (64 - es) };
-    let frac_field = if es >= 64 { 0 } else { rem << es };
+    // Regime field: run + terminating bit, capped at the body width
+    // (<= 63, so the shift below is in range).
+    let rem = body << (run + 1).min(N - 1);
+    let e = if ES == 0 { 0 } else { rem >> (64 - ES) };
     // Q1.63: hidden bit at 63, fraction below.
-    let frac = (1u64 << 63) | (frac_field >> 1);
-    let scale = k * (1i64 << es) + e as i64;
+    let frac = (1u64 << 63) | ((rem << ES) >> 1);
+    // `e < 2^ES <= 2^30`, so the conversion is exact.
+    let scale = (k << ES) + e as i64;
     Decoded::Finite(Unpacked {
         negative,
         scale,
@@ -85,13 +79,14 @@ pub fn decode(bits: u64, n: u32, es: u32) -> Decoded {
     })
 }
 
-/// Mask of the low `n` bits (`n` in 1..=64).
+/// Mask of the low `N` bits (`N` in 1..=64).
 #[inline]
-pub fn mask(n: u32) -> u64 {
-    if n == 64 {
+#[must_use]
+pub const fn mask<const N: u32>() -> u64 {
+    if N == 64 {
         u64::MAX
     } else {
-        (1u64 << n) - 1
+        (1u64 << N) - 1
     }
 }
 
@@ -104,7 +99,7 @@ mod tests {
     fn paper_worked_example_posit_8_2() {
         // Section III: 0_0001_10_1 -> 1.5 * 2^-10.
         let bits = 0b0_0001_10_1u64;
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => {
                 assert!(!u.negative);
                 assert_eq!(u.scale, -10);
@@ -116,25 +111,40 @@ mod tests {
 
     #[test]
     fn specials() {
-        assert_eq!(decode(0, 8, 2), Decoded::Zero);
-        assert_eq!(decode(0x80, 8, 2), Decoded::NaR);
-        assert_eq!(decode(0, 64, 9), Decoded::Zero);
-        assert_eq!(decode(1u64 << 63, 64, 9), Decoded::NaR);
+        assert_eq!(decode::<8, 2>(0), Decoded::Zero);
+        assert_eq!(decode::<8, 2>(0x80), Decoded::NaR);
+        assert_eq!(decode::<64, 9>(0), Decoded::Zero);
+        assert_eq!(decode::<64, 9>(1u64 << 63), Decoded::NaR);
+    }
+
+    fn assert_one<const N: u32, const ES: u32>() {
+        // 0b01000...0 is always 1.0.
+        match decode::<N, ES>(1u64 << (N - 2)) {
+            Decoded::Finite(u) => {
+                assert!(!u.negative);
+                assert_eq!(u.scale, 0, "posit({N},{ES})");
+                assert_eq!(u.frac, 1u64 << 63);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn one_decodes_to_scale_zero() {
-        // 0b01000...0 is always 1.0.
-        for (n, es) in [(8u32, 2u32), (16, 1), (32, 2), (64, 9), (64, 18)] {
-            let bits = 1u64 << (n - 2);
-            match decode(bits, n, es) {
-                Decoded::Finite(u) => {
-                    assert!(!u.negative);
-                    assert_eq!(u.scale, 0, "posit({n},{es})");
-                    assert_eq!(u.frac, 1u64 << 63);
-                }
-                other => panic!("{other:?}"),
+        assert_one::<8, 2>();
+        assert_one::<16, 1>();
+        assert_one::<32, 2>();
+        assert_one::<64, 9>();
+        assert_one::<64, 18>();
+    }
+
+    fn minpos_scale<const ES: u32>() -> i64 {
+        match decode::<64, ES>(1) {
+            Decoded::Finite(u) => {
+                assert_eq!(u.frac, 1u64 << 63);
+                u.scale
             }
+            other => panic!("{other:?}"),
         }
     }
 
@@ -142,32 +152,22 @@ mod tests {
     fn minpos_scale_matches_table_one() {
         // minpos pattern: 0...01. Table I: smallest positive of
         // posit(64,es) is 2^(-62 * 2^es).
-        for (es, want) in [
-            (6i64, -3_968i64),
-            (9, -31_744),
-            (12, -253_952),
-            (15, -2_031_616),
-            (18, -16_252_928),
-            (21, -130_023_424),
-        ] {
-            match decode(1, 64, es as u32) {
-                Decoded::Finite(u) => {
-                    assert_eq!(u.scale, want, "posit(64,{es}) minpos");
-                    assert_eq!(u.frac, 1u64 << 63);
-                }
-                other => panic!("{other:?}"),
-            }
-        }
+        assert_eq!(minpos_scale::<6>(), -3_968);
+        assert_eq!(minpos_scale::<9>(), -31_744);
+        assert_eq!(minpos_scale::<12>(), -253_952);
+        assert_eq!(minpos_scale::<15>(), -2_031_616);
+        assert_eq!(minpos_scale::<18>(), -16_252_928);
+        assert_eq!(minpos_scale::<21>(), -130_023_424);
     }
 
     #[test]
     fn maxpos_scale() {
         // maxpos pattern: 0111...1 -> k = n-2, e = 0, frac = 1.0.
-        match decode(0x7F, 8, 2) {
+        match decode::<8, 2>(0x7F) {
             Decoded::Finite(u) => assert_eq!(u.scale, 6 * 4),
             other => panic!("{other:?}"),
         }
-        match decode((1u64 << 63) - 1, 64, 9) {
+        match decode::<64, 9>((1u64 << 63) - 1) {
             Decoded::Finite(u) => assert_eq!(u.scale, 62 * 512),
             other => panic!("{other:?}"),
         }
@@ -177,7 +177,7 @@ mod tests {
     fn negative_patterns_decode_via_twos_complement() {
         // -1.0 is 0b11000...0 for any config.
         let bits = 0b11u64 << 6; // 8-bit: 0xC0
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => {
                 assert!(u.negative);
                 assert_eq!(u.scale, 0);
@@ -194,7 +194,7 @@ mod tests {
         // terminator... run=5, regime_len=6), remaining 1 bit = exponent
         // MSB -> e = 0b10 = 2. scale = -5*4 + 2 = -18.
         let bits = 0b0_000001_1u64;
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => assert_eq!(u.scale, -18),
             other => panic!("{other:?}"),
         }

@@ -49,13 +49,13 @@ impl FormatInfo {
     /// `-(N-2) * 2^ES` (Table I column 3).
     #[must_use]
     pub fn min_positive_exp(&self) -> i64 {
-        -((self.n as i64 - 2) << self.es)
+        -((i64::from(self.n) - 2) << self.es)
     }
 
     /// Base-2 exponent of the largest representable number.
     #[must_use]
     pub fn max_exp(&self) -> i64 {
-        (self.n as i64 - 2) << self.es
+        (i64::from(self.n) - 2) << self.es
     }
 
     /// Maximum number of fraction bits: `N - 3 - ES` (sign + minimal
@@ -74,7 +74,7 @@ impl FormatInfo {
     pub fn fraction_bits_at_scale(&self, scale: i64) -> u32 {
         let k = scale.div_euclid(1 << self.es);
         let run = if k >= 0 { k + 1 } else { -k };
-        let regime_len = (run + 1).min(self.n as i64 - 1) as u32;
+        let regime_len = (run + 1).min(i64::from(self.n) - 1) as u32;
         (self.n - 1)
             .saturating_sub(regime_len)
             .saturating_sub(self.es)

@@ -31,6 +31,8 @@ pub mod arith;
 pub mod decode;
 pub mod encode;
 mod info;
+#[cfg(test)]
+mod reference;
 
 pub use decode::{Decoded, Unpacked};
 pub use info::FormatInfo;
@@ -139,7 +141,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     #[must_use]
     pub fn from_parts(negative: bool, scale: i64, frac: u64) -> Self {
         assert!(frac >> 63 == 1, "hidden bit must be set");
-        Self::from_bits(encode::pack(negative, scale, frac, false, N, ES))
+        Self::from_bits(encode::pack::<N, ES>(negative, scale, frac, false))
     }
 
     /// True for the zero pattern.
@@ -163,7 +165,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// Decodes into sign/scale/significand form.
     #[must_use]
     pub fn decode(self) -> Decoded {
-        decode::decode(self.bits, N, ES)
+        decode::decode::<N, ES>(self.bits)
     }
 
     /// The combined binary scale `k·2^ES + e`, or `None` for zero/NaR.
@@ -195,7 +197,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
         if self.bits == Self::MAX.bits {
             return self;
         }
-        Self::from_bits(self.bits.wrapping_add(1) & decode::mask(N))
+        Self::from_bits(self.bits.wrapping_add(1) & decode::mask::<N>())
     }
 
     /// The next representable posit below (pattern - 1), saturating at
@@ -206,7 +208,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
         if self.bits == min_bits {
             return self;
         }
-        Self::from_bits(self.bits.wrapping_sub(1) & decode::mask(N))
+        Self::from_bits(self.bits.wrapping_sub(1) & decode::mask::<N>())
     }
 
     /// Converts exactly into the [`BigFloat`] oracle (NaR maps to NaN).
@@ -217,7 +219,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
             Decoded::NaR => BigFloat::nan(),
             Decoded::Finite(u) => {
                 let sign = if u.negative { Sign::Neg } else { Sign::Pos };
-                BigFloat::from_scaled_u128(sign, u.frac as u128, u.scale)
+                BigFloat::from_scaled_u128(sign, u128::from(u.frac), u.scale)
             }
         }
     }
@@ -238,7 +240,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
                 let limbs = x.limbs();
                 let frac = limbs[limbs.len() - 1];
                 let sticky = limbs[..limbs.len() - 1].iter().any(|&l| l != 0);
-                Self::from_bits(encode::pack(negative, scale, frac, sticky, N, ES))
+                Self::from_bits(encode::pack::<N, ES>(negative, scale, frac, sticky))
             }
         }
     }
@@ -270,11 +272,11 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
             // Subnormal: value = mantissa * 2^-1074; normalizing the top
             // bit to position 63 gives scale = -1011 - leading_zeros.
             let shift = mantissa.leading_zeros(); // < 64 since mantissa != 0
-            (-1011 - shift as i64, mantissa << shift)
+            (-1011 - i64::from(shift), mantissa << shift)
         } else {
             (biased - 1023, (mantissa << 11) | (1u64 << 63))
         };
-        Self::from_bits(encode::pack(negative, scale, frac, false, N, ES))
+        Self::from_bits(encode::pack::<N, ES>(negative, scale, frac, false))
     }
 
     /// Format metadata (Table I row for this configuration).
@@ -286,21 +288,24 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
 
 impl<const N: u32, const ES: u32> core::ops::Neg for Posit<N, ES> {
     type Output = Self;
+    #[inline]
     fn neg(self) -> Self {
-        Self::from_bits(arith::neg_bits(self.bits, N))
+        Self::from_bits(arith::neg_bits::<N>(self.bits))
     }
 }
 
 macro_rules! posit_bin_op {
-    ($trait:ident, $method:ident, $fn:path) => {
+    ($trait:ident, $method:ident, $kernel:ident) => {
         impl<const N: u32, const ES: u32> core::ops::$trait for Posit<N, ES> {
             type Output = Self;
+            #[inline]
             fn $method(self, rhs: Self) -> Self {
-                Self::from_bits($fn(self.bits, rhs.bits, N, ES))
+                Self::from_bits(arith::$kernel::<N, ES>(self.bits, rhs.bits))
             }
         }
         impl<const N: u32, const ES: u32> core::ops::$trait<&Posit<N, ES>> for Posit<N, ES> {
             type Output = Self;
+            #[inline]
             fn $method(self, rhs: &Self) -> Self {
                 <Self as core::ops::$trait>::$method(self, *rhs)
             }
@@ -308,14 +313,15 @@ macro_rules! posit_bin_op {
     };
 }
 
-posit_bin_op!(Add, add, arith::add_bits);
-posit_bin_op!(Sub, sub, arith::sub_bits);
-posit_bin_op!(Mul, mul, arith::mul_bits);
-posit_bin_op!(Div, div, arith::div_bits);
+posit_bin_op!(Add, add, add_bits);
+posit_bin_op!(Sub, sub, sub_bits);
+posit_bin_op!(Mul, mul, mul_bits);
+posit_bin_op!(Div, div, div_bits);
 
 macro_rules! posit_assign_op {
     ($trait:ident, $method:ident, $op:tt) => {
         impl<const N: u32, const ES: u32> core::ops::$trait for Posit<N, ES> {
+            #[inline]
             fn $method(&mut self, rhs: Self) {
                 *self = *self $op rhs;
             }
