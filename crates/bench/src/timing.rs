@@ -13,7 +13,7 @@
 //!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits), plus
 //!   the retired bit-by-bit restoring division as a baseline row so a
 //!   single run shows the Knuth-D speedup;
-//! * [`hdr_suite`] — the tiered backend's fast rungs: `HdrFloat`
+//! * [`hdr_suite`] — the ladders' 53-bit rungs: `HdrFloat`
 //!   (binary64 mantissa, software exponent) per-op and forward-pass
 //!   timings next to the same work on the 256-bit BigFloat path, so
 //!   the ladder speedup is measured from one binary rather than
@@ -250,7 +250,7 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
 /// Oracle precision the hdr suite's baseline rows run at.
 pub const HDR_BASELINE_PREC: u32 = 256;
 
-/// Builds the tiered-backend suite: the HDR fast tier (`hdr/{op}/53`,
+/// Builds the HDR suite: the 53-bit `HdrFloat` rungs (`hdr/{op}/53`,
 /// `hdr/forward/53`) timed next to the same operands and the same
 /// forward sweep on the 256-bit BigFloat path
 /// (`bigfloat/{op}/256`, `oracle/forward/256`), so one document holds

@@ -228,8 +228,8 @@ impl BigFloat {
     /// becomes the single **unsigned** zero — `(-x).mul_pow2(i64::MIN)`
     /// loses the sign, because this `BigFloat` has no negative zero.
     /// Specials (zero, infinities, NaN) pass through unchanged for any
-    /// `k`. The tiered backend's promotion/demotion seam relies on
-    /// both saturation directions being exactly these values.
+    /// `k`. [`HdrFloat`](crate::HdrFloat)'s conversions rely on both
+    /// saturation directions being exactly these values.
     #[must_use]
     pub fn mul_pow2(&self, k: i64) -> BigFloat {
         let mut r = self.clone();

@@ -11,6 +11,10 @@
 //! * [`StatFloat`] — the "same computation, different number system"
 //!   interface implemented by `f64`, [`compstat_logspace::LogF64`] and
 //!   the `posit(64, ES)` configurations;
+//! * [`Arith`] — the arithmetic context the forward and PBD recurrences
+//!   are written against once: [`Scalar`] for any `StatFloat`,
+//!   [`LogSpace`] for Listing 3's H-ary LSE, and the BigFloat
+//!   `Context` for the oracle;
 //! * [`error`] — relative error against the 256-bit oracle, with
 //!   underflow/invalid classification;
 //! * [`sample`] — operand corpora (uniform-in-exponent sampling) and
@@ -94,7 +98,7 @@ pub use merge::{
 };
 pub use report::{Block, Report, INDEX_SCHEMA, REPORT_SCHEMA};
 pub use scale::Scale;
-pub use statfloat::{FormatKind, StatFloat, MEASURE_PREC};
+pub use statfloat::{Arith, FormatKind, LogSpace, Scalar, StatFloat, MEASURE_PREC};
 pub use stats::{BoxStats, Cdf};
 
 // Re-export the sibling crates so downstream users need only one dep.

@@ -8,9 +8,10 @@
 //! generically, and the formats plug in.
 
 use compstat_bigfloat::{BigFloat, Context, HdrFloat};
-use compstat_logspace::LogF64;
+use compstat_logspace::{log_sum_exp, LogF64};
 use compstat_posit::{Posit, P64E12, P64E18, P64E9};
 use core::fmt::Debug;
+use core::marker::PhantomData;
 
 /// Precision used for measurement-grade conversions (well beyond any
 /// 64-bit format's information content; the oracle itself runs at 256).
@@ -292,6 +293,161 @@ statfloat_for_posit!(64, 12, "posit(64,12)");
 statfloat_for_posit!(64, 15, "posit(64,15)");
 statfloat_for_posit!(64, 18, "posit(64,18)");
 statfloat_for_posit!(64, 21, "posit(64,21)");
+
+/// An arithmetic context: what a recurrence (Listing 1's forward pass,
+/// Listing 2's PBD update) is written against, so one body serves every
+/// number system and only the arithmetic changes between them.
+///
+/// Implemented by [`Scalar`] for every [`StatFloat`], by [`LogSpace`]
+/// for Listing 3's H-ary LSE, and by [`Context`] for the BigFloat
+/// oracle. All methods are `#[inline]` so the per-format kernels inline
+/// into the recurrence instantiated for them.
+pub trait Arith {
+    /// The value type the recurrence carries.
+    type V: Clone;
+
+    /// Additive identity.
+    fn zero(&self) -> Self::V;
+
+    /// Multiplicative identity.
+    fn one(&self) -> Self::V;
+
+    /// Imports an `f64` input probability, rounding it into this
+    /// arithmetic.
+    fn import(&self, x: f64) -> Self::V;
+
+    /// Addition.
+    fn add(&self, a: &Self::V, b: &Self::V) -> Self::V;
+
+    /// Multiplication.
+    fn mul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+
+    /// Sums a row: a left fold from zero unless the arithmetic has a
+    /// native n-ary reduction.
+    #[inline]
+    fn reduce(&self, xs: &[Self::V]) -> Self::V {
+        xs.iter().fold(self.zero(), |acc, x| self.add(&acc, x))
+    }
+}
+
+/// [`Arith`] in a [`StatFloat`] format: its own `add`/`mul`, and a
+/// pairwise fold as `reduce`. Zero-sized.
+#[derive(Clone, Copy, Debug)]
+pub struct Scalar<T>(PhantomData<fn() -> T>);
+
+impl<T> Scalar<T> {
+    /// The context for format `T`.
+    #[must_use]
+    pub const fn new() -> Self {
+        Scalar(PhantomData)
+    }
+}
+
+impl<T> Default for Scalar<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: StatFloat> Arith for Scalar<T> {
+    type V = T;
+
+    #[inline]
+    fn zero(&self) -> T {
+        T::zero()
+    }
+
+    #[inline]
+    fn one(&self) -> T {
+        T::one()
+    }
+
+    #[inline]
+    fn import(&self, x: f64) -> T {
+        T::from_f64(x)
+    }
+
+    #[inline]
+    fn add(&self, a: &T, b: &T) -> T {
+        a.add(*b)
+    }
+
+    #[inline]
+    fn mul(&self, a: &T, b: &T) -> T {
+        a.mul(*b)
+    }
+}
+
+/// [`Arith`] in explicit log-space (Listing 3): [`LogF64`] values whose
+/// `reduce` is the H-ary [`log_sum_exp`], not a chain of binary LSEs.
+#[derive(Clone, Copy, Debug)]
+pub struct LogSpace;
+
+impl Arith for LogSpace {
+    type V = LogF64;
+
+    #[inline]
+    fn zero(&self) -> LogF64 {
+        LogF64::ZERO
+    }
+
+    #[inline]
+    fn one(&self) -> LogF64 {
+        LogF64::ONE
+    }
+
+    #[inline]
+    fn import(&self, x: f64) -> LogF64 {
+        LogF64::from_f64(x)
+    }
+
+    #[inline]
+    fn add(&self, a: &LogF64, b: &LogF64) -> LogF64 {
+        *a + *b
+    }
+
+    #[inline]
+    fn mul(&self, a: &LogF64, b: &LogF64) -> LogF64 {
+        *a * *b
+    }
+
+    #[inline]
+    fn reduce(&self, xs: &[LogF64]) -> LogF64 {
+        log_sum_exp(xs)
+    }
+}
+
+/// [`Arith`] at the context's precision: every operation correctly
+/// rounded, inputs imported exactly ([`BigFloat::from_f64`]), and the
+/// left fold of `reduce` is [`Context::sum`].
+impl Arith for Context {
+    type V = BigFloat;
+
+    #[inline]
+    fn zero(&self) -> BigFloat {
+        BigFloat::zero()
+    }
+
+    #[inline]
+    fn one(&self) -> BigFloat {
+        BigFloat::one()
+    }
+
+    #[inline]
+    fn import(&self, x: f64) -> BigFloat {
+        BigFloat::from_f64(x)
+    }
+
+    #[inline]
+    fn add(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+        Context::add(self, a, b)
+    }
+
+    #[inline]
+    fn mul(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+        Context::mul(self, a, b)
+    }
+}
 
 /// The five formats compared throughout the paper's figures.
 #[must_use]

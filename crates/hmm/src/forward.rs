@@ -1,88 +1,103 @@
 //! The forward algorithm in every number system under study.
 //!
+//! The recurrence (Listing 1) is written once, over an [`Arith`]
+//! context; the public kernels fix the arithmetic and what is observed
+//! after each step:
+//!
 //! * [`forward`] — Listing 1, generic over [`StatFloat`] (binary64,
-//!   posit configurations, and even log-space via its LSE `add`);
+//!   posit configurations, HDR, and even log-space via its LSE `add`);
 //! * [`forward_log`] — Listing 3, the explicit log-space formulation
 //!   with n-ary LSE, as the paper's log accelerators implement it;
 //! * [`forward_oracle`] — the 256-bit reference result;
 //! * [`forward_scaled`] — the per-step rescaling baseline discussed in
-//!   Section VII (Related Works);
+//!   Section VII (Related Works), as an after-step hook;
 //! * [`forward_trace`] — the Figure 1 experiment: the base-2 exponent of
-//!   the `alpha` vector over iterations, tracked exactly.
+//!   the `alpha` vector over iterations, tracked exactly, as an
+//!   after-step snapshot hook.
 
 use crate::model::{Hmm, PreparedHmm};
-use compstat_bigfloat::{BigFloat, Context, Tiered, TieredCtx};
-use compstat_core::StatFloat;
-use compstat_logspace::{log_sum_exp, LogF64};
+use compstat_bigfloat::{BigFloat, Context, HdrFloat, HDR_FAST_PREC};
+use compstat_core::{Arith, LogSpace, Scalar, StatFloat};
+use compstat_logspace::LogF64;
+use compstat_runtime::Runtime;
+
+/// The forward recurrence (Listing 1) in arithmetic `ar`, the one body
+/// every kernel in this module runs.
+///
+/// `after_step(t, alpha_t)` sees (and may rescale) the alpha row after
+/// each step, `t = 0` being the initialisation. Returns the final row,
+/// or `None` for an empty sequence. Each path sum reduces a scratch row
+/// of `alpha_prev[p] * a(p, q)` terms with [`Arith::reduce`], so
+/// log-space runs its H-ary LSE and every other arithmetic a sequential
+/// fold (the accelerator's reduction tree reassociates it, which is
+/// measured separately by the FPGA model).
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
+fn recurrence<A: Arith>(
+    ar: &A,
+    model: &PreparedHmm<A::V>,
+    obs: &[usize],
+    mut after_step: impl FnMut(usize, &mut [A::V]),
+) -> Option<Vec<A::V>> {
+    if obs.is_empty() {
+        return None;
+    }
+    let (h, m) = (model.h, model.m);
+    // `A` by columns, so each path sum reads its `a(., q)` contiguously.
+    let a_by_col: Vec<A::V> = (0..h * h)
+        .map(|i| model.a[(i % h) * h + i / h].clone())
+        .collect();
+    let mut alpha_prev = vec![ar.zero(); h];
+    let mut alpha = vec![ar.zero(); h];
+    let mut terms = vec![ar.zero(); h];
+    for (t, &ot) in obs.iter().enumerate() {
+        assert!(ot < m, "observation symbol out of range");
+        if t == 0 {
+            for q in 0..h {
+                alpha_prev[q] = ar.mul(&model.pi[q], &model.b[q * m + ot]);
+            }
+        } else {
+            for (q, a_col) in a_by_col.chunks_exact(h).enumerate() {
+                for ((term, ap), a_pq) in terms.iter_mut().zip(&alpha_prev).zip(a_col) {
+                    *term = ar.mul(ap, a_pq);
+                }
+                alpha[q] = ar.mul(&ar.reduce(&terms), &model.b[q * m + ot]);
+            }
+            core::mem::swap(&mut alpha, &mut alpha_prev);
+        }
+        after_step(t, &mut alpha_prev);
+    }
+    Some(alpha_prev)
+}
+
+/// `P(O | lambda)` in arithmetic `ar`: the reduced final row, or one
+/// for the empty observation.
+fn likelihood<A: Arith>(ar: &A, model: &PreparedHmm<A::V>, obs: &[usize]) -> A::V {
+    recurrence(ar, model, obs, |_, _| {}).map_or_else(|| ar.one(), |alpha| ar.reduce(&alpha))
+}
 
 /// The forward algorithm (Listing 1): returns `P(O | lambda)`.
-///
-/// Sequential accumulation in the innermost loop mirrors the software
-/// reference; the accelerator's reduction tree reassociates it, which is
-/// measured separately by the FPGA model.
 ///
 /// # Panics
 ///
 /// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
-    let h = model.num_states();
-    let mut alpha_prev: Vec<T> = Vec::with_capacity(h);
-    let mut alpha: Vec<T> = vec![T::zero(); h];
-    let Some((&o0, rest)) = obs.split_first() else {
-        return T::one(); // empty observation: probability 1
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    for q in 0..h {
-        alpha_prev.push(model.pi(q).mul(model.b(q, o0)));
-    }
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            let mut path_sum = T::zero();
-            for p in 0..h {
-                let term = alpha_prev[p].mul(model.a(p, q));
-                path_sum = path_sum.add(term);
-            }
-            alpha[q] = path_sum.mul(model.b(q, ot));
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-    }
-    let mut likelihood = T::zero();
-    for q in 0..h {
-        likelihood = likelihood.add(alpha_prev[q]);
-    }
-    likelihood
+    likelihood(&Scalar::new(), model, obs)
 }
 
 /// The forward algorithm in explicit log-space (Listing 3): `ln_A` and
 /// `ln_B` are precomputed logs, the inner reduction is an H-ary LSE, and
 /// the result is the log-likelihood.
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
-    let h = model.num_states();
-    // Pre-computed logarithm matrices (Listing 3's ln_A / ln_B).
-    let prepared: PreparedHmm<LogF64> = model.prepare();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return LogF64::ONE;
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    let mut alpha_prev: Vec<LogF64> = (0..h).map(|q| prepared.pi(q) * prepared.b(q, o0)).collect();
-    let mut terms: Vec<LogF64> = vec![LogF64::ZERO; h];
-    let mut alpha: Vec<LogF64> = vec![LogF64::ZERO; h];
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            for p in 0..h {
-                // term = alpha_prev[p] + ln_a (log-space add = mul).
-                terms[p] = alpha_prev[p] * prepared.a(p, q);
-            }
-            let path_sum = log_sum_exp(&terms);
-            alpha[q] = path_sum * prepared.b(q, ot);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-    }
-    log_sum_exp(&alpha_prev)
+    likelihood(&LogSpace, &model.prepare_in(&LogSpace), obs)
 }
 
 /// The 256-bit oracle forward pass: the baseline "correct value" for
@@ -90,39 +105,10 @@ pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
 ///
 /// # Panics
 ///
-/// Panics if any observation symbol is out of range (same message as
-/// [`forward`]).
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_oracle(model: &Hmm, obs: &[usize], ctx: &Context) -> BigFloat {
-    let h = model.num_states();
-    let a: Vec<BigFloat> = (0..h * h)
-        .map(|i| BigFloat::from_f64(model.a(i / h, i % h)))
-        .collect();
-    let b: Vec<BigFloat> = (0..h * model.num_symbols())
-        .map(|i| BigFloat::from_f64(model.b(i / model.num_symbols(), i % model.num_symbols())))
-        .collect();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return BigFloat::one();
-    };
-    let m = model.num_symbols();
-    assert!(o0 < m, "observation symbol out of range");
-    let mut alpha_prev: Vec<BigFloat> = (0..h)
-        .map(|q| ctx.mul(&BigFloat::from_f64(model.pi(q)), &b[q * m + o0]))
-        .collect();
-    let mut alpha: Vec<BigFloat> = vec![BigFloat::zero(); h];
-    for &ot in rest {
-        assert!(ot < m, "observation symbol out of range");
-        for q in 0..h {
-            let mut path_sum = BigFloat::zero();
-            for p in 0..h {
-                let term = ctx.mul(&alpha_prev[p], &a[p * h + q]);
-                path_sum = ctx.add(&path_sum, &term);
-            }
-            alpha[q] = ctx.mul(&path_sum, &b[q * m + ot]);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-    }
-    ctx.sum(alpha_prev.iter())
+    likelihood(ctx, &model.prepare_in(ctx), obs)
 }
 
 /// Result of the rescaling forward pass ([`forward_scaled`]).
@@ -141,48 +127,23 @@ pub struct ScaledForward {
 ///
 /// # Panics
 ///
-/// Panics if any observation symbol is out of range — with the same
-/// message as [`forward`] and [`forward_log`], so callers can rely on
-/// one diagnostic across the kernel family.
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_scaled(model: &Hmm, obs: &[usize]) -> ScaledForward {
-    let h = model.num_states();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return ScaledForward {
-            ln_likelihood: 0.0,
-            rescales: 0,
-        };
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    let mut alpha_prev: Vec<f64> = (0..h).map(|q| model.pi(q) * model.b(q, o0)).collect();
-    let mut alpha: Vec<f64> = vec![0.0; h];
-    let mut ln_l = 0.0;
+    let mut ln_likelihood = 0.0;
     let mut rescales = 0;
-    let rescale = |v: &mut Vec<f64>, ln_l: &mut f64, rescales: &mut usize| {
-        let s: f64 = v.iter().sum();
+    recurrence(&Scalar::<f64>::new(), &model.prepare(), obs, |_, alpha| {
+        let s: f64 = alpha.iter().sum();
         if s > 0.0 {
-            *ln_l += s.ln();
-            for x in v.iter_mut() {
+            ln_likelihood += s.ln();
+            for x in alpha {
                 *x /= s;
             }
-            *rescales += 1;
+            rescales += 1;
         }
-    };
-    rescale(&mut alpha_prev, &mut ln_l, &mut rescales);
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            let mut path_sum = 0.0;
-            for p in 0..h {
-                path_sum += alpha_prev[p] * model.a(p, q);
-            }
-            alpha[q] = path_sum * model.b(q, ot);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-        rescale(&mut alpha_prev, &mut ln_l, &mut rescales);
-    }
+    });
     ScaledForward {
-        ln_likelihood: ln_l,
+        ln_likelihood,
         rescales,
     }
 }
@@ -202,15 +163,13 @@ pub struct TracePoint {
 /// exponent can be tracked even when numbers become extremely small").
 ///
 /// `stride` controls how often points are recorded (1 = every step).
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -> Vec<TracePoint> {
-    forward_trace_rt(
-        model,
-        obs,
-        ctx,
-        stride,
-        &compstat_runtime::Runtime::serial(),
-    )
+    forward_trace_rt(model, obs, ctx, stride, &Runtime::serial())
 }
 
 /// [`forward_trace`] with an explicit runtime: the recurrence itself is
@@ -219,72 +178,73 @@ pub fn forward_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -
 /// map over snapshots and runs through `rt`. Point order and values are
 /// bitwise-identical for every thread count.
 ///
-/// Internally the recurrence runs on the tiered backend at the
-/// context's precision: a ladder rung at `prec <= 53` computes on
-/// hardware `f64` ([`Tiered`]'s fast tier, bit-identical to the 53-bit
-/// [`Context`]), while higher precisions — including the oracle-grade
-/// 192-bit trace of Figure 1 — delegate to [`Context`] unchanged, so
-/// recorded exponents are byte-for-byte what the pure-BigFloat path
-/// produced.
+/// The arithmetic is chosen once, by precision: a ladder rung at
+/// `prec <= 53` ([`HDR_FAST_PREC`]) runs on [`HdrFloat`] (hardware
+/// `f64` mantissa, bit-identical to the 53-bit [`Context`]), while
+/// higher precisions — including the oracle-grade 192-bit trace of
+/// Figure 1 — run on `ctx` itself. Snapshot masses are summed in
+/// `Context::new(64)` either way.
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_trace_rt(
     model: &Hmm,
     obs: &[usize],
     ctx: &Context,
     stride: usize,
-    rt: &compstat_runtime::Runtime,
+    rt: &Runtime,
 ) -> Vec<TracePoint> {
+    let mass = Context::new(64);
+    if ctx.prec() <= HDR_FAST_PREC {
+        trace(&Scalar::<HdrFloat>::new(), model, obs, stride, rt, |v| {
+            mass.sum(&v.iter().map(HdrFloat::to_bigfloat).collect::<Vec<_>>())
+        })
+    } else {
+        trace(ctx, model, obs, stride, rt, |v| mass.sum(v))
+    }
+}
+
+/// The Figure 1 snapshot hook over [`recurrence`] in arithmetic `ar`;
+/// `mass` sums one snapshot row exactly enough to read its exponent.
+fn trace<A: Arith>(
+    ar: &A,
+    model: &Hmm,
+    obs: &[usize],
+    stride: usize,
+    rt: &Runtime,
+    mass: impl Fn(&[A::V]) -> BigFloat + Sync,
+) -> Vec<TracePoint>
+where
+    A::V: Send + Sync,
+{
     let stride = stride.max(1);
-    let h = model.num_states();
-    let m = model.num_symbols();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return Vec::new();
-    };
-    let tctx = TieredCtx::new(ctx.prec());
-    let a: Vec<Tiered> = (0..h * h)
-        .map(|i| tctx.from_f64(model.a(i / h, i % h)))
-        .collect();
-    let b: Vec<Tiered> = (0..h * m)
-        .map(|i| tctx.from_f64(model.b(i / m, i % m)))
-        .collect();
-    let mut alpha_prev: Vec<Tiered> = (0..h)
-        .map(|q| tctx.mul(&tctx.from_f64(model.pi(q)), &b[q * m + o0]))
-        .collect();
-    let mut alpha: Vec<Tiered> = vec![tctx.zero(); h];
     // The sequential recurrence snapshots alpha at recorded iterations;
     // the exponent extraction (one small-context oracle sum per
     // snapshot) is an independent map and flushes through `rt` in
     // bounded batches, so memory stays O(batch * H) even at stride 1
     // while snapshot order keeps the output identical to a serial run.
     const FLUSH_BATCH: usize = 256;
-    let mut snapshots: Vec<(usize, Vec<Tiered>)> = Vec::new();
+    let mut snapshots: Vec<(usize, Vec<A::V>)> = Vec::new();
     let mut out: Vec<TracePoint> = Vec::new();
-    let flush = |snapshots: &mut Vec<(usize, Vec<Tiered>)>, out: &mut Vec<TracePoint>| {
+    let flush = |snapshots: &mut Vec<(usize, Vec<A::V>)>, out: &mut Vec<TracePoint>| {
         let points = rt.par_map(snapshots, |(t, v)| {
-            let ctx_small = TieredCtx::new(64);
-            let s = ctx_small.sum(v.iter());
-            s.exponent().map(|exponent| TracePoint { t: *t, exponent })
+            mass(v)
+                .exponent()
+                .map(|exponent| TracePoint { t: *t, exponent })
         });
         out.extend(points.into_iter().flatten());
         snapshots.clear();
     };
-    snapshots.push((0, alpha_prev.clone()));
-    for (idx, &ot) in rest.iter().enumerate() {
-        for q in 0..h {
-            let mut path_sum = tctx.zero();
-            for p in 0..h {
-                path_sum = tctx.add(&path_sum, &tctx.mul(&alpha_prev[p], &a[p * h + q]));
-            }
-            alpha[q] = tctx.mul(&path_sum, &b[q * m + ot]);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-        if (idx + 1) % stride == 0 {
-            snapshots.push((idx + 1, alpha_prev.clone()));
+    recurrence(ar, &model.prepare_in(ar), obs, |t, alpha| {
+        if t % stride == 0 {
+            snapshots.push((t, alpha.to_vec()));
             if snapshots.len() >= FLUSH_BATCH {
                 flush(&mut snapshots, &mut out);
             }
         }
-    }
+    });
     flush(&mut snapshots, &mut out);
     out
 }
@@ -415,10 +375,10 @@ mod tests {
 
     #[test]
     fn trace_fast_tier_tracks_the_oracle_trace() {
-        // A prec <= 53 ladder rung runs the recurrence on the tiered
-        // fast tier (hardware f64 + software exponent). Its exponents
-        // must track the 128-bit trace to within accumulated-rounding
-        // slack even thousands of binades below f64's range.
+        // A prec <= 53 ladder rung runs the recurrence on HdrFloat
+        // (hardware f64 + software exponent). Its exponents must track
+        // the 128-bit trace to within accumulated-rounding slack even
+        // thousands of binades below f64's range.
         let m = toy();
         let obs: Vec<usize> = (0..4_000).map(|i| (i * 13 + 1) % 2).collect();
         let fast = forward_trace(&m, &obs, &Context::new(53), 200);
@@ -435,7 +395,7 @@ mod tests {
             );
         }
         // The tail is far outside binary64's reach, proving the fast
-        // tier was carrying an HDR exponent, not an f64.
+        // path was carrying an HDR exponent, not an f64.
         assert!(big.last().unwrap().exponent < -2_000);
     }
 
@@ -448,7 +408,7 @@ mod tests {
         let obs: Vec<usize> = (0..30_000).map(|i| (i * 13 + 1) % 2).collect();
         let f: f64 = forward(&m.prepare::<f64>(), &obs);
         assert_eq!(f, 0.0);
-        let h: compstat_bigfloat::HdrFloat = forward(&m.prepare(), &obs);
+        let h: HdrFloat = forward(&m.prepare(), &obs);
         assert!(!h.is_zero());
         let ctx = Context::new(256);
         let oracle = forward_oracle(&m, &obs, &ctx);
@@ -458,6 +418,22 @@ mod tests {
             "hdr log10 rel err {} class {:?}",
             rel.log10_rel,
             rel.class
+        );
+    }
+
+    #[test]
+    fn hdr_forward_is_context53_bit_for_bit() {
+        // The premise of forward_trace_rt's selection by precision, at
+        // the level of the whole recurrence: on the sequence that zeroes
+        // binary64, HdrFloat and Context::new(53) agree to the bit.
+        let m = toy();
+        let obs: Vec<usize> = (0..30_000).map(|i| (i * 13 + 1) % 2).collect();
+        let h: HdrFloat = forward(&m.prepare(), &obs);
+        assert!(!h.is_zero());
+        let c = forward_oracle(&m, &obs, &Context::new(53));
+        assert!(
+            compstat_bigfloat::bit_identical(&h.to_bigfloat(), &c),
+            "hdr {h:?} vs Context::new(53) {c:?}"
         );
     }
 

@@ -6,7 +6,8 @@
 //! (a phylogenetics tool) computes likelihoods as small as
 //! `2^-2_900_000` over 500,000-site Human-Chimp-Gorilla sequences.
 //!
-//! The forward algorithm (Listing 1 of the paper) is implemented:
+//! The forward algorithm (Listing 1 of the paper) is written once, over
+//! a [`compstat_core::Arith`] context, and run:
 //!
 //! * generically over every [`compstat_core::StatFloat`] format
 //!   ([`forward`]),
@@ -15,7 +16,8 @@
 //! * with per-step rescaling (the Section VII baseline,
 //!   [`forward_scaled`]),
 //! * as an exact exponent trace reproducing Figure 1
-//!   ([`forward_trace`]),
+//!   ([`forward_trace`]; `HdrFloat` at `prec <= 53`, the BigFloat
+//!   context above),
 //! * and batched over many observation sequences through the
 //!   deterministic parallel runtime ([`forward_batch`],
 //!   [`forward_log_batch`], [`forward_oracle_batch`] — bitwise-identical

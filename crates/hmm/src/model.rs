@@ -1,6 +1,6 @@
 //! Hidden Markov Model definition and per-format preparation.
 
-use compstat_core::StatFloat;
+use compstat_core::{Arith, Scalar, StatFloat};
 
 /// A discrete-observation HMM `lambda = (A, B, pi)` (Section V-A).
 ///
@@ -114,12 +114,18 @@ impl Hmm {
     /// designs store pre-computed `ln_A`, `ln_B` — Listing 3).
     #[must_use]
     pub fn prepare<T: StatFloat>(&self) -> PreparedHmm<T> {
+        self.prepare_in(&Scalar::new())
+    }
+
+    /// [`Hmm::prepare`] into any arithmetic context's value type.
+    pub(crate) fn prepare_in<A: Arith>(&self, ar: &A) -> PreparedHmm<A::V> {
+        let conv = |v: &[f64]| v.iter().map(|&p| ar.import(p)).collect();
         PreparedHmm {
             h: self.h,
             m: self.m,
-            a: self.a.iter().map(|&p| T::from_f64(p)).collect(),
-            b: self.b.iter().map(|&p| T::from_f64(p)).collect(),
-            pi: self.pi.iter().map(|&p| T::from_f64(p)).collect(),
+            a: conv(&self.a),
+            b: conv(&self.b),
+            pi: conv(&self.pi),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Edge-case behavior of the forward-kernel family: empty observation
 //! sequences, single-state (H = 1) models, and out-of-range symbol
 //! diagnostics must be consistent across `forward`, `forward_log`,
-//! `forward_scaled`, and `forward_oracle` — a caller switching number
-//! systems must never see the *shape* of the computation change.
+//! `forward_scaled`, `forward_oracle` and `forward_trace` — a caller
+//! switching number systems must never see the *shape* of the
+//! computation change.
 
 use compstat_bigfloat::Context;
 use compstat_hmm::{forward, forward_log, forward_oracle, forward_scaled, forward_trace, Hmm};
@@ -126,6 +127,20 @@ fn out_of_range_symbol_panics_with_one_message_across_kernels() {
                 let (m, obs) = (m.clone(), obs.clone());
                 move || {
                     let _ = forward_oracle(&m, &obs, &Context::new(64));
+                }
+            }),
+            // The Figure 1 trace on both of its arithmetics: HdrFloat
+            // at prec <= 53, the BigFloat context above.
+            panic_message({
+                let (m, obs) = (m.clone(), obs.clone());
+                move || {
+                    let _ = forward_trace(&m, &obs, &Context::new(53), 1);
+                }
+            }),
+            panic_message({
+                let (m, obs) = (m.clone(), obs.clone());
+                move || {
+                    let _ = forward_trace(&m, &obs, &Context::new(128), 1);
                 }
             }),
         ];

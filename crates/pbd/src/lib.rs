@@ -11,9 +11,10 @@
 //! to 1 — far beyond binary64's range, which is why the computation is
 //! conventionally done in log-space and why the paper proposes posits.
 //!
-//! * [`pbd_pvalue`] — Listing 2, generic over number format;
-//! * [`pbd_pvalue_log`] / [`pbd_pvalue_oracle`] — explicit log-space and
-//!   256-bit reference versions;
+//! * [`pbd_pvalue`] — Listing 2, generic over number format
+//!   (`pbd_pvalue::<LogF64>` is the explicit log-space version), and
+//!   [`pbd_pvalue_oracle`], the 256-bit reference — one recurrence
+//!   over a [`compstat_core::Arith`] context;
 //! * [`Column`] / [`call_column`] — the application-level caller;
 //! * [`batch`] — dataset-level parallel column sweeps through
 //!   `compstat-runtime` (bitwise-identical to serial for any
@@ -48,4 +49,4 @@ pub use batch::{
 };
 pub use column::{call_column, call_column_with_oracle, CallOutcome, Column, CRITICAL_EXP};
 pub use datasets::{accuracy_corpus, perf_datasets, ColumnDims, DatasetSpec};
-pub use pmf::{pbd_pmf_full, pbd_pvalue, pbd_pvalue_log, pbd_pvalue_oracle, PbdResult};
+pub use pmf::{pbd_pvalue, pbd_pvalue_oracle, PbdResult};

@@ -1,9 +1,9 @@
 //! The Poisson Binomial Distribution recurrence (Listing 2): PMF and
-//! p-value computation in every number system under study.
+//! p-value computation in every number system under study, written once
+//! over an [`Arith`] context.
 
 use compstat_bigfloat::{BigFloat, Context};
-use compstat_core::StatFloat;
-use compstat_logspace::LogF64;
+use compstat_core::{Arith, Scalar, StatFloat};
 
 /// Result of a p-value computation in format `T`.
 #[derive(Clone, Debug)]
@@ -15,92 +15,60 @@ pub struct PbdResult<T> {
     pub pvalue: T,
 }
 
-/// Computes `P(X >= k)` for a Poisson-binomial with the given per-trial
-/// success probabilities (Listing 2 of the paper).
+/// The PBD recurrence (Listing 2) in arithmetic `ar`, the one body
+/// every kernel in this module runs.
 ///
 /// States `0..k` are tracked exactly as in the paper's accelerator: the
 /// inner loop is the multiply-and-add `pr[j]*(1-p) + pr[j-1]*p`, and mass
 /// reaching state `k` is absorbed into the running p-value.
-///
-/// `k == 0` trivially yields p-value 1.
-#[must_use]
-pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> PbdResult<T> {
+fn recurrence<A: Arith>(ar: &A, success_probs: &[f64], k: usize) -> PbdResult<A::V> {
     if k == 0 {
         return PbdResult {
             pmf: Vec::new(),
-            pvalue: T::one(),
+            pvalue: ar.one(),
         };
     }
-    let mut pr: Vec<T> = vec![T::zero(); k];
-    pr[0] = T::one(); // zero successes after zero trials
-    let mut pvalue = T::zero();
+    let mut pr = vec![ar.zero(); k];
+    pr[0] = ar.one(); // zero successes after zero trials
+    let mut pvalue = ar.zero();
     for &p in success_probs {
         debug_assert!((0.0..=1.0).contains(&p), "success probability out of range");
-        let pn = T::from_f64(p);
-        let qn = T::from_f64(1.0 - p);
+        let pn = ar.import(p);
+        let qn = ar.import(1.0 - p);
         // Mass crossing from k-1 into >= k (Listing 2 line 7).
-        pvalue = pvalue.add(pr[k - 1].mul(pn));
+        pvalue = ar.add(&pvalue, &ar.mul(&pr[k - 1], &pn));
         // In-place reverse sweep == the paper's double-buffered update.
         for j in (1..k).rev() {
-            pr[j] = pr[j].mul(qn).add(pr[j - 1].mul(pn));
+            pr[j] = ar.add(&ar.mul(&pr[j], &qn), &ar.mul(&pr[j - 1], &pn));
         }
-        pr[0] = pr[0].mul(qn);
+        pr[0] = ar.mul(&pr[0], &qn);
     }
     PbdResult { pmf: pr, pvalue }
 }
 
-/// The explicit log-space formulation: probabilities as logs, the
-/// multiply-and-add as log-add + binary LSE — what LoFreq's software and
-/// the paper's log-space column unit compute.
+/// Computes `P(X >= k)` for a Poisson-binomial with the given per-trial
+/// success probabilities (Listing 2 of the paper), in format `T` —
+/// `T = LogF64` is the explicit log-space formulation (its `add` *is*
+/// the binary LSE of Equation (2)) that LoFreq's software and the
+/// paper's log-space column unit compute.
+///
+/// `k == 0` trivially yields p-value 1. With `k = N + 1` the p-value is
+/// zero and `pmf` is the full distribution `P(X = j)`, `j in 0..=N`.
 #[must_use]
-pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> PbdResult<LogF64> {
-    // LogF64's StatFloat `add` *is* the binary LSE of Equation (2).
-    pbd_pvalue::<LogF64>(success_probs, k)
+pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> PbdResult<T> {
+    recurrence(&Scalar::new(), success_probs, k)
 }
 
 /// The 256-bit oracle p-value — the "correct result" of Figures 9/11.
 #[must_use]
 pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigFloat {
-    if k == 0 {
-        return BigFloat::one();
-    }
-    let mut pr: Vec<BigFloat> = vec![BigFloat::zero(); k];
-    pr[0] = BigFloat::one();
-    let mut pvalue = BigFloat::zero();
-    for &p in success_probs {
-        let pn = BigFloat::from_f64(p);
-        let qn = BigFloat::from_f64(1.0 - p);
-        pvalue = ctx.add(&pvalue, &ctx.mul(&pr[k - 1], &pn));
-        for j in (1..k).rev() {
-            pr[j] = ctx.add(&ctx.mul(&pr[j], &qn), &ctx.mul(&pr[j - 1], &pn));
-        }
-        pr[0] = ctx.mul(&pr[0], &qn);
-    }
-    pvalue
-}
-
-/// Full PMF `P(X = k)` for all `k in 0..=N` (small-`N` utility used by
-/// tests and the quickstart example; the paper's kernel only tracks
-/// states below `K`).
-#[must_use]
-pub fn pbd_pmf_full<T: StatFloat>(success_probs: &[f64]) -> Vec<T> {
-    let n = success_probs.len();
-    let mut pr: Vec<T> = vec![T::zero(); n + 1];
-    pr[0] = T::one();
-    for (t, &p) in success_probs.iter().enumerate() {
-        let pn = T::from_f64(p);
-        let qn = T::from_f64(1.0 - p);
-        for j in (1..=t + 1).rev() {
-            pr[j] = pr[j].mul(qn).add(pr[j - 1].mul(pn));
-        }
-        pr[0] = pr[0].mul(qn);
-    }
-    pr
+    recurrence(ctx, success_probs, k).pvalue
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compstat_logspace::LogF64;
     use compstat_posit::{P64E12, P64E18, P64E9};
 
     /// Brute-force `P(X >= k)` by enumerating all outcome subsets.
@@ -134,7 +102,7 @@ mod tests {
             );
             let gp: PbdResult<P64E9> = pbd_pvalue(&probs, k);
             assert!((gp.pvalue.to_f64() - want).abs() < 1e-12, "posit k={k}");
-            let gl = pbd_pvalue_log(&probs, k);
+            let gl: PbdResult<LogF64> = pbd_pvalue(&probs, k);
             assert!((gl.pvalue.to_f64() - want).abs() < 1e-12, "log k={k}");
             let ctx = Context::new(256);
             let go = pbd_pvalue_oracle(&probs, k, &ctx);
@@ -144,13 +112,14 @@ mod tests {
 
     #[test]
     fn pmf_full_sums_to_one() {
+        // k = N + 1 tracks every state: the full PMF P(X = j), j <= N.
         let probs = [0.2, 0.7, 0.4, 0.9, 0.01, 0.35, 0.5];
-        let pmf: Vec<f64> = pbd_pmf_full(&probs);
+        let pmf: Vec<f64> = pbd_pvalue(&probs, probs.len() + 1).pmf;
         let sum: f64 = pmf.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         // And matches the binomial closed form when all p equal.
         let equal = [0.3; 10];
-        let pmf: Vec<f64> = pbd_pmf_full(&equal);
+        let pmf: Vec<f64> = pbd_pvalue(&equal, equal.len() + 1).pmf;
         for (k, &got) in pmf.iter().enumerate() {
             let binom = binomial(10, k) * 0.3f64.powi(k as i32) * 0.7f64.powi((10 - k) as i32);
             assert!((got - binom).abs() < 1e-12, "k={k}: {got} vs {binom}");
@@ -187,11 +156,12 @@ mod tests {
     #[test]
     fn paper_motivating_binomial_underflow() {
         // Section II: P = 0.3^N underflows binary64 for N > 618. The
-        // probability of N successes in N trials is pmf_full's last entry.
+        // probability of N successes in N trials is the full PMF's last
+        // entry.
         let probs = vec![0.3; 700];
-        let pmf: Vec<f64> = pbd_pmf_full(&probs);
+        let pmf: Vec<f64> = pbd_pvalue(&probs, probs.len() + 1).pmf;
         assert_eq!(pmf[700], 0.0, "binary64 underflows at 0.3^700");
-        let pmf: Vec<P64E18> = pbd_pmf_full(&probs);
+        let pmf: Vec<P64E18> = pbd_pvalue(&probs, probs.len() + 1).pmf;
         let last = pmf[700];
         assert!(!last.is_zero(), "posit(64,18) holds 0.3^700");
         // 0.3^700 = 2^(700*log2(0.3)) ~ 2^-1215.6.
@@ -213,7 +183,7 @@ mod tests {
         let p: PbdResult<P64E12> = pbd_pvalue(&probs, 40);
         let pe = p.pvalue.to_bigfloat().exponent().unwrap();
         assert!((pe - oe).abs() <= 1, "posit exponent {pe} vs oracle {oe}");
-        let l = pbd_pvalue_log(&probs, 40);
+        let l: PbdResult<LogF64> = pbd_pvalue(&probs, 40);
         let le = (l.pvalue.ln_value() / core::f64::consts::LN_2).round() as i64;
         assert!((le - oe).abs() <= 1, "log exponent {le} vs oracle {oe}");
     }

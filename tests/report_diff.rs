@@ -39,7 +39,7 @@ fn fresh_quick_run_matches_the_golden_corpus() {
     assert_eq!(diff.compared.len(), compstat_bench::registry().len());
 }
 
-/// The 17 experiments that predate the tiered/HDR backend. Listed by
+/// The 17 experiments that predate the HDR backend. Listed by
 /// name, not derived from the registry, so a registry reshuffle cannot
 /// silently shrink this guard's coverage.
 const PRE_HDR_EXPERIMENTS: [&str; 17] = [
@@ -64,7 +64,8 @@ const PRE_HDR_EXPERIMENTS: [&str; 17] = [
 
 #[test]
 fn pre_hdr_experiments_are_byte_identical_on_a_cold_cache() {
-    // The tiered routing through fig01/fig03/the trace path must not
+    // Running the trace path on HdrFloat at prec <= 53 (selected by
+    // precision, the same recurrence as every other format) must not
     // move a single pre-existing report byte — and not merely because a
     // warm cache replayed old oracle sweeps. Force the cache off so
     // every 256-bit sweep is recomputed through the current kernels,
