@@ -10,9 +10,10 @@
 //! Four suites:
 //!
 //! * [`bigfloat_suite`] — serial micro-benchmarks of the arbitrary-
-//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits), plus
-//!   the retired bit-by-bit restoring division as a baseline row so a
-//!   single run shows the Knuth-D speedup;
+//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits, `ln`/
+//!   `exp` at 192/256 bits), plus the retired bit-by-bit restoring
+//!   division as a baseline row so a single run shows the Knuth-D
+//!   speedup;
 //! * [`hdr_suite`] — the ladders' 53-bit rungs: `HdrFloat`
 //!   (binary64 mantissa, software exponent) per-op and forward-pass
 //!   timings next to the same work on the 256-bit BigFloat path, so
@@ -180,7 +181,8 @@ pub const BIGFLOAT_PRECS: [u32; 3] = [128, 256, 1024];
 /// Builds the bigfloat kernel suite: `add`/`mul`/`div` at each of
 /// [`BIGFLOAT_PRECS`], plus a `div-restoring` baseline row per
 /// precision (the retired bit-by-bit division, kept callable exactly so
-/// the Knuth-D speedup stays measurable from one binary).
+/// the Knuth-D speedup stays measurable from one binary), and `ln`/`exp`
+/// at each of [`ELEMENTARY_PRECS`].
 ///
 /// The kernels are serial, so the document's `threads` is always 1.
 #[must_use]
@@ -238,6 +240,9 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
             },
         ));
     }
+    for prec in ELEMENTARY_PRECS {
+        entries.extend(elementary_entries(prec, (base / 8).max(64), reps));
+    }
     BenchDoc {
         suite: "bigfloat".into(),
         scale: scale.as_str().into(),
@@ -245,6 +250,38 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
         unix_ms: unix_ms_now(),
         entries,
     }
+}
+
+/// The precisions the suite times `ln`/`exp` at: 192 bits
+/// (`MEASURE_PREC`, at which every Log-format operand is converted into
+/// and out of log space) and the 256-bit oracle.
+pub const ELEMENTARY_PRECS: [u32; 2] = [192, 256];
+
+/// The `bigfloat/ln/{prec}` and `bigfloat/exp/{prec}` rows. Each call
+/// takes the next of 16 arguments: positive pool values for `ln`, and
+/// for `exp` their logarithms rounded to binary64, the form
+/// `LogF64::to_bigfloat` passes.
+fn elementary_entries(prec: u32, iters: u64, reps: u32) -> [BenchEntry; 2] {
+    let ctx = Context::new(prec);
+    let ln_args: Vec<BigFloat> = operand_pool(prec, 16, 0xE1E0_0000 + u64::from(prec))
+        .expect("ELEMENTARY_PRECS are whole limbs inside MIN_PREC..=MAX_PREC")
+        .iter()
+        .map(BigFloat::abs)
+        .collect();
+    let exp_args: Vec<BigFloat> = ln_args
+        .iter()
+        .map(|x| BigFloat::from_f64(ctx.ln(x).to_f64()))
+        .collect();
+    let mut i = 0;
+    let ln = time_entry(&format!("bigfloat/ln/{prec}"), iters, reps, || {
+        i = (i + 1) % ln_args.len();
+        black_box(ctx.ln(black_box(&ln_args[i])));
+    });
+    let exp = time_entry(&format!("bigfloat/exp/{prec}"), iters, reps, || {
+        i = (i + 1) % exp_args.len();
+        black_box(ctx.exp(black_box(&exp_args[i])));
+    });
+    [ln, exp]
 }
 
 /// Oracle precision the hdr suite's baseline rows run at.
@@ -665,8 +702,12 @@ mod tests {
         // Tiny custom pass over the suite's id grid (the real suite's
         // iteration budgets are for release-mode benchmarking).
         let doc = bigfloat_suite_smoke();
-        for prec in BIGFLOAT_PRECS {
-            for op in ["add", "mul", "div", "div-restoring"] {
+        let grid = BIGFLOAT_PRECS
+            .map(|prec| (prec, &["add", "mul", "div", "div-restoring"][..]))
+            .into_iter()
+            .chain(ELEMENTARY_PRECS.map(|prec| (prec, &["ln", "exp"][..])));
+        for (prec, ops) in grid {
+            for op in ops {
                 let id = format!("bigfloat/{op}/{prec}");
                 assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
             }
@@ -708,7 +749,7 @@ mod tests {
     /// measure (the real [`bigfloat_suite`] iteration counts are sized
     /// for release-mode benchmarking, not a debug unit test).
     fn bigfloat_suite_smoke() -> BenchDoc {
-        let entries = BIGFLOAT_PRECS
+        let mut entries: Vec<BenchEntry> = BIGFLOAT_PRECS
             .iter()
             .flat_map(|&prec| {
                 let pool = operand_pool(prec, 4, u64::from(prec)).unwrap();
@@ -726,6 +767,9 @@ mod tests {
                 })
             })
             .collect();
+        for prec in ELEMENTARY_PRECS {
+            entries.extend(elementary_entries(prec, 2, 2));
+        }
         BenchDoc {
             suite: "bigfloat".into(),
             scale: "quick".into(),

@@ -488,12 +488,14 @@ fn div_impl_restoring(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
     BigFloat::from_raw_wide(sign, exp_of_top, q, sticky, prec)
 }
 
-/// Differential-test hooks: the general slice kernels and the retired
-/// restoring division, callable directly so test suites can prove the
-/// specialized fast paths bit-identical to them. Not a public API.
+/// Differential-test hooks: the general slice kernels, the retired
+/// restoring division and the retired `ln`/`exp` series, callable
+/// directly so test suites can check the fast paths against them. Not a
+/// public API.
 #[doc(hidden)]
 pub mod testing {
     use super::*;
+    pub use crate::elementary::{exp_series, ln_series};
 
     /// Addition forced through the general slice kernels.
     #[must_use]

@@ -13,7 +13,10 @@
 //!   are ordinary values, not underflow.
 //! * [`Context`] — MPFR-style rounding contexts; `+ - * /` are correctly
 //!   rounded (round to nearest, ties to even), `ln`/`exp` are faithfully
-//!   rounded with generous guard bits.
+//!   rounded: a short series on a fixed-point buffer carrying 128 guard
+//!   bits (`exp` after halving its reduced argument `K = 16` times, `ln`
+//!   after a binary64 first guess and one `exp`), and on `x` itself
+//!   when `|x - 1| < 2^-8`.
 //! * [`HdrFloat`] — a binary64 mantissa with an `i64` exponent:
 //!   bit-identical to `Context::new(53)` at hardware speed, for
 //!   callers that select it by precision (`prec <= `[`HDR_FAST_PREC`]).

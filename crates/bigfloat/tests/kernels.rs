@@ -200,3 +200,104 @@ proptest! {
         }
     }
 }
+
+/// `|got - want| <= 1 ulp` at `prec` bits, the ulp taken at `want`
+/// (a reference computed at `2·prec + 64` bits, so its own error is far
+/// below the bound). Zero and the specials must match exactly.
+fn within_one_ulp(got: &BigFloat, want: &BigFloat, prec: u32) -> bool {
+    let Some(ew) = want.exponent() else {
+        return got.kind() == want.kind() && got.sign() == want.sign();
+    };
+    if got.exponent().is_none() {
+        return false;
+    }
+    // Both values carry at most 2·prec + 64 bits within a binade or two
+    // of each other, so the difference is exact at 2·prec + 128 bits.
+    let diff = Context::new(2 * prec + 128).sub(got, want).abs();
+    diff <= BigFloat::pow2(ew.saturating_sub(i64::from(prec) - 1))
+}
+
+/// A uniform random significand of 256 bits in the binade `2^exp` — the
+/// shape of the Figure 3 and hdr operand corpora.
+fn corpus_operand(state: &mut u64, exp: i64) -> BigFloat {
+    let a = random_operand(state, 256).abs();
+    a.mul_pow2(exp - a.exponent().unwrap())
+}
+
+/// Checks `Context::{ln, exp}` at `prec` against the retired series run
+/// at `2·prec + 64` bits on `count` seeded corpus arguments plus the
+/// edge cases: exponent limits, both sides of the exp saturation
+/// threshold, and `exp(±2^-k)` down to `k = 10^6`.
+fn check_elementary_against_series(prec: u32, count: usize, seed: u64) {
+    let c = Context::new(prec);
+    let wide = 2 * prec + 64;
+    let mut st = seed;
+    let mut ln_args = Vec::new();
+    let mut exp_args = Vec::new();
+    for _ in 0..count {
+        // ln: probabilities over the corpora's 2^-10050..2^0 range.
+        let e = -((splitmix(&mut st) % 10_051) as i64);
+        ln_args.push(corpus_operand(&mut st, e));
+        // exp: binary64 log-space values over the same range (plus a
+        // few positive ones), as `LogF64::to_bigfloat` passes them.
+        let u = (splitmix(&mut st) >> 11) as f64 / (1u64 << 53) as f64;
+        exp_args.push(BigFloat::from_f64(-6_980.0 + 7_000.0 * u));
+    }
+    for k in [
+        i64::MAX,
+        i64::MAX - 1,
+        i64::MIN,
+        i64::MIN + 1,
+        1_000_000,
+        -1_000_000,
+    ] {
+        ln_args.push(BigFloat::pow2(k));
+        ln_args.push(Context::new(wide).mul(&BigFloat::pow2(k), &BigFloat::from_f64(1.5)));
+    }
+    // i64::MAX·ln2 ~ 6.3931e18: saturation on one side, legal on the other.
+    for mag in [6.3e18, 6.393e18, 6.3931e18, 6.3932e18, 6.4e18, 9.2e18] {
+        exp_args.push(BigFloat::from_f64(mag));
+        exp_args.push(BigFloat::from_f64(-mag));
+    }
+    for k in [1i64, 2, 8, 17, 60, 100, 200, 400, 1_000, 10_000, 1_000_000] {
+        exp_args.push(BigFloat::pow2(-k));
+        exp_args.push(BigFloat::pow2(-k).neg());
+    }
+    for x in &ln_args {
+        let got = c.ln(x);
+        let want = testing::ln_series(x, wide);
+        assert!(
+            within_one_ulp(&got, &want, prec),
+            "ln at prec {prec}: {got:?} vs reference {want:?} for x={x:?}"
+        );
+    }
+    for x in &exp_args {
+        let got = c.exp(x);
+        let want = testing::exp_series(x, wide);
+        assert!(
+            within_one_ulp(&got, &want, prec),
+            "exp at prec {prec}: {got:?} vs reference {want:?} for x={x:?}"
+        );
+    }
+}
+
+#[test]
+fn elementary_functions_match_the_retired_series_at_64_bit_widths() {
+    for prec in [53, 64] {
+        check_elementary_against_series(prec, 2_000, 0x5EED_0004 + u64::from(prec));
+    }
+}
+
+#[test]
+fn elementary_functions_match_the_retired_series_at_oracle_widths() {
+    for prec in [192, 256] {
+        check_elementary_against_series(prec, 2_000, 0x5EED_0004 + u64::from(prec));
+    }
+}
+
+#[test]
+fn elementary_functions_match_the_retired_series_at_1024_bits() {
+    // The reference runs at 2112 bits, ~700 series terms per `ln`: a
+    // smaller draw keeps the debug-build suite interactive.
+    check_elementary_against_series(1024, 200, 0x5EED_0404);
+}

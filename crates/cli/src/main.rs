@@ -139,7 +139,8 @@ COMMANDS:
     run         Run experiments; print text reports, or write one JSON
                 report per experiment plus index.json with --out
     bench       Time the bigfloat kernels (add/mul/div at 128/256/1024
-                bits, plus the retired restoring division), the HDR
+                bits, plus the retired restoring division, and ln/exp
+                at 192/256 bits), the HDR
                 fast tier against the 256-bit path (per-op and forward
                 sweep), and the figures' 256-bit oracle passes. Emits
                 wall-clock compstat-bench/v1 documents — explicitly
